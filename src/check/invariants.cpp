@@ -116,20 +116,21 @@ void audit(const serve::EdgeServerFrontend& frontend) {
 
   audit(frontend.queue());
   for (std::uint64_t s = 0; s < frontend.sessions(); ++s) {
-    LP_CHECK(frontend.session_k(s) >= 1.0);
-    audit(frontend.session_tracker(s));
+    LP_CHECK(frontend.load_signal(s, 0).k_now >= 1.0);
+    audit(frontend.session_load(s).tracker());
     audit(frontend.session_cache(s));
     LP_CHECK(frontend.session_bandwidth_bps(s) > 0.0);
     // The session's signal honours the same contracts as the raw tracker:
     // constraint 1c on the forecast, a finite error score, and k_now
     // agreeing bitwise with the published k.
     const core::LoadSignal sig = frontend.load_signal(s, 0);
-    LP_CHECK_MSG(sig.k_now == frontend.session_tracker(s).k(),
+    LP_CHECK_MSG(sig.k_now == frontend.session_load(s).tracker().k(),
                  "signal k_now diverged from the published k");
     LP_CHECK(std::isfinite(sig.k_forecast) && sig.k_forecast >= 1.0);
     LP_CHECK(std::isfinite(sig.backlog_sec) && sig.backlog_sec >= 0.0);
     LP_CHECK(sig.confidence >= 0.0 && sig.confidence <= 1.0);
-    const predict::LoadPredictor& predictor = frontend.session_predictor(s);
+    const predict::LoadPredictor& predictor =
+        frontend.session_load(s).predictor();
     if (predictor.scored() > 0)
       LP_CHECK(std::isfinite(predictor.mae()) &&
                std::isfinite(predictor.bias()));

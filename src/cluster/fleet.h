@@ -6,9 +6,10 @@
 // session through the router (which places it per the configured policy)
 // and binds directly to its home server; the router's heartbeat loop then
 // reroutes sessions off crashed servers and, when rebalancing is enabled,
-// live-migrates hot sessions toward cold servers. Client traces reuse the
-// serve layer's ClientTrace/TenantSummary accounting verbatim, so fleet
-// and cluster results summarize identically.
+// live-migrates hot sessions toward cold servers. The client population
+// (serve::Population) and the result base (serve::RunResult) are the
+// fleet's own, so fleet and cluster runs build clients and summarize
+// identically.
 //
 // Zipf skew: within a tenant, client i's think time is scaled by
 // (i + 1)^zipf_alpha — client 0 is the hottest, the tail is cold. This is
@@ -30,11 +31,10 @@
 
 namespace lp::cluster {
 
-struct ClusterConfig {
+/// With telemetry set, each server gets its own trace track ("server0",
+/// "server1", ...) and the router the "cluster" track.
+struct ClusterConfig : serve::TestbedConfig {
   std::size_t servers = 2;
-  std::vector<serve::TenantSpec> tenants;
-  serve::FrontendParams frontend;
-  core::RuntimeParams runtime;
   RouterParams router;
 
   /// Skew exponent for per-client request gaps (0 = homogeneous).
@@ -60,30 +60,13 @@ struct ClusterConfig {
   /// control plane that can no longer reroute them.
   bool degrade_to_local = false;
 
-  DurationNs duration = seconds(90);
-  DurationNs warmup = seconds(30);
-  DurationNs profiler_period = seconds(5);
-  DurationNs watcher_period = seconds(10);
-  std::uint64_t seed = 1;
-
-  /// Telemetry for the whole testbed: per-server trace tracks ("server0",
-  /// "server1", ...), the router's "cluster" track, per-tenant summary
-  /// metrics. Null = off, byte-identical to an uninstrumented run.
-  obs::Telemetry* telemetry = nullptr;
-
   /// Invariant hook (check::ClusterAuditor arms it): runs against the live
   /// router every audit_period of sim time and once after the run.
   std::function<void(const ClusterRouter&, TimeNs)> on_audit;
   DurationNs audit_period = seconds(1);
 };
 
-struct ClusterResult {
-  std::vector<serve::ClientTrace> clients;
-  std::vector<std::string> tenant_names;
-  std::vector<double> tenant_slo_sec;
-  DurationNs warmup = 0;
-  DurationNs duration = 0;
-
+struct ClusterResult : serve::RunResult {
   /// Final per-server load/conservation snapshots.
   std::vector<serve::LoadSnapshot> servers;
 
@@ -107,14 +90,6 @@ struct ClusterResult {
   /// (server, sim time) per kDead declaration — time-to-detect against a
   /// known crash schedule.
   std::vector<std::pair<std::size_t, TimeNs>> death_events;
-
-  std::vector<const core::InferenceRecord*> steady(int tenant = -1) const {
-    return serve::steady_records(clients, warmup, tenant);
-  }
-  serve::TenantSummary summarize(int tenant = -1) const {
-    return serve::summarize_traces(clients, tenant_names, tenant_slo_sec,
-                                   warmup, duration, tenant);
-  }
 };
 
 /// Runs the cluster; deterministic given config.seed.

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -87,5 +88,11 @@ double Rng::exponential(double mean) {
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::fork() { return Rng((*this)() ^ 0xD1B54A32D192ED03ull); }
+
+DurationNs jittered(DurationNs base, double frac, Rng& rng, double scale) {
+  const double jitter = std::max(0.2, 1.0 + frac * rng.normal());
+  return std::max<DurationNs>(
+      1, static_cast<DurationNs>(static_cast<double>(base) * scale * jitter));
+}
 
 }  // namespace lp

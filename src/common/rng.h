@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "common/units.h"
+
 namespace lp {
 
 /// Deterministic RNG (xoshiro256** core, SplitMix64 seeding).
@@ -54,5 +56,10 @@ class Rng {
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
 };
+
+/// A modeled duration as an executor actually takes it: `base` stretched by
+/// `scale` and a multiplicative jitter max(0.2, 1 + frac * N(0, 1)) drawn
+/// from `rng` (one normal draw), never below 1 ns.
+DurationNs jittered(DurationNs base, double frac, Rng& rng, double scale = 1.0);
 
 }  // namespace lp

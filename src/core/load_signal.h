@@ -2,11 +2,12 @@
 //
 // Every load consumer — the client's decide() path, the frontend's
 // admission control, the cluster router's least-loaded placement and
-// rebalancer — used to read its own ad-hoc scalar (session_k(), raw
-// LoadSnapshot fields). They all read this struct now, produced by the
-// predictor layer (src/predict/), so swapping the reactive value for a
-// forecast needs no per-consumer surgery: the producer fills k_forecast
-// and backlog_sec for the caller's horizon and the consumers are done.
+// rebalancer — reads this struct, through
+// SuffixService::load_signal(session, horizon); there is no other k
+// accessor. It is produced by core::LoadEstimator over the predictor layer
+// (src/predict/), so swapping the reactive value for a forecast needs no
+// per-consumer surgery: the producer fills k_forecast and backlog_sec for
+// the caller's horizon and the consumers are done.
 #pragma once
 
 #include "common/units.h"

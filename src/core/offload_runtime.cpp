@@ -24,11 +24,6 @@ std::string policy_name(Policy policy) {
 }
 
 namespace {
-/// Multiplicative jitter factor, clamped away from zero.
-double jitter_scale(Rng& rng, double frac) {
-  return std::max(0.2, 1.0 + frac * rng.normal());
-}
-
 /// Heap-allocated per-attempt reply block. The client and the server (and
 /// the client's own deadline watcher) all hold it through shared_ptr /
 /// SuffixRequest::keepalive, so whichever side finishes last still writes
@@ -64,16 +59,12 @@ OffloadServer::OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
                              const GraphCostProfile& profile,
                              RuntimeParams params, std::uint64_t seed)
     : sim_(&sim),
-      scheduler_(&scheduler),
-      gpu_(&gpu),
       profile_(&profile),
       params_(params),
-      ctx_(scheduler.create_context("offload-service")),
+      executor_(sim, scheduler, gpu, params, "offload-service", seed),
       cache_(params.cache_capacity),
-      k_(params.k_window),
-      predictor_(predict::make_predictor(params.predictor)),
-      requests_(sim),
-      rng_(seed) {
+      load_(params.k_window, params.predictor),
+      requests_(sim) {
   sim_->spawn(service());
 }
 
@@ -89,12 +80,32 @@ SubmitStatus OffloadServer::submit(SuffixRequest request) {
 sim::Task OffloadServer::service() {
   // Fig. 3: the main service thread — receive a request, partition/execute,
   // signal the result ready for download.
+  const auto& g = profile_->graph();
   for (;;) {
     const SuffixRequest request = co_await requests_.receive();
+    const std::size_t p = request.p;
     if (request.queue_wait_seconds != nullptr)
       *request.queue_wait_seconds = to_seconds(sim_->now() - request.enqueued);
-    co_await execute_suffix(request.p, request.exec_seconds,
-                            request.overhead_seconds);
+
+    // Partition cache: a miss pays graph partitioning + runtime preparation.
+    double overhead = 0.0;
+    if (cache_.find(p) == nullptr) {
+      auto plan = partition::partition_at(g, p);
+      overhead = partition_miss(params_, plan, /*device=*/false).sec;
+      co_await sim_->delay(seconds(overhead));
+      cache_.insert(std::move(plan));
+    }
+    if (request.overhead_seconds != nullptr)
+      *request.overhead_seconds = overhead;
+
+    SuffixExecutor::Run run;
+    co_await executor_.run(g, p, profile_->n(), 1, 1.0, &run);
+    if (request.exec_seconds != nullptr) *request.exec_seconds = run.exec_sec;
+    // Runtime profiler bookkeeping (Section III-C): ratio of measured GPU
+    // time over the model-predicted time of this partition.
+    load_.record(sim_->now(), run.exec_sec, profile_->suffix_g(p),
+                 run.contended);
+
     // The client's deadline watcher may have resolved the attempt already;
     // its trigger wins and the late result is dropped.
     if (!request.done->triggered()) {
@@ -104,89 +115,14 @@ sim::Task OffloadServer::service() {
   }
 }
 
-sim::Task OffloadServer::execute_suffix(std::size_t p, double* exec_seconds,
-                                        double* overhead_seconds) {
-  const auto& g = profile_->graph();
-  const std::size_t n = profile_->n();
-  LP_CHECK_MSG(p < n, "nothing to execute on the server at p = n");
-
-  // Partition cache: a miss pays graph partitioning + runtime preparation.
-  double overhead = 0.0;
-  if (cache_.find(p) == nullptr) {
-    auto plan = partition::partition_at(g, p);
-    const std::size_t nodes =
-        plan.server_part ? plan.server_part->backbone().size() : 0;
-    overhead = params_.server_partition_base_sec +
-               params_.server_partition_per_node_sec *
-                   static_cast<double>(nodes);
-    co_await sim_->delay(seconds(overhead));
-    cache_.insert(std::move(plan));
-  }
-  if (overhead_seconds != nullptr) *overhead_seconds = overhead;
-
-  // Execute the suffix kernels on the (possibly contended) GPU.
-  auto kernels = params_.fused_server_kernels
-                     ? gpu_->fused_segment_kernels(g, p + 1, n)
-                     : gpu_->segment_kernels(g, p + 1, n);
-  const double jf = gpu_->params().jitter_frac;
-  for (auto& k : kernels)
-    k = std::max<DurationNs>(
-        1, static_cast<DurationNs>(static_cast<double>(k) *
-                                   jitter_scale(rng_, jf)));
-  // Contention snapshot: other tenants' kernels already queued when this
-  // partition is submitted. Uncontended measurements calibrate the idle
-  // baseline of k.
-  const bool contended = scheduler_->pending_kernels() > 4;
-  const TimeNs begin = sim_->now();
-  co_await scheduler_->run_job(ctx_, std::move(kernels));
-  const double measured = to_seconds(sim_->now() - begin);
-  if (exec_seconds != nullptr) *exec_seconds = measured;
-
-  // Runtime profiler bookkeeping (Section III-C): ratio of measured over
-  // model-predicted time for this partition.
-  const double predicted = profile_->suffix_g(p);
-  if (predicted > 0.0) {
-    k_.record(measured, predicted, contended);
-    // The predictor sees the published series: every k mutation feeds it,
-    // so the last-value forecast is exactly the reactive value.
-    predictor_->observe(sim_->now(), k_.k());
-  }
-}
-
 LoadSignal OffloadServer::load_signal(std::uint64_t /*session*/,
                                       DurationNs horizon) const {
-  LoadSignal sig;
-  sig.k_now = k_.k();
-  sig.k_forecast = sig.k_now;
-  if (predictor_->samples() > 0) {
-    // Constraint 1c applies to the forecast as much as to the measurement.
-    sig.k_forecast = std::max(1.0, predictor_->forecast(horizon));
-    sig.age_ns = sim_->now() - predictor_->last_observed();
-    sig.confidence = predictor_->confidence();
-  }
-  return sig;
+  return load_.signal(sim_->now(), horizon);
 }
 
 void OffloadServer::start_gpu_watcher(DurationNs period) {
-  watcher_busy_mark_ = scheduler_->busy_ns();
-  watcher_time_mark_ = sim_->now();
-  sim_->spawn(gpu_watcher(period));
-}
-
-sim::Task OffloadServer::gpu_watcher(DurationNs period) {
-  LP_CHECK(period > 0);
-  for (;;) {
-    co_await sim_->delay(period);
-    const DurationNs busy = scheduler_->busy_ns();
-    const double util = static_cast<double>(busy - watcher_busy_mark_) /
-                        static_cast<double>(sim_->now() - watcher_time_mark_);
-    watcher_busy_mark_ = busy;
-    watcher_time_mark_ = sim_->now();
-    if (util < params_.gpu_util_threshold) {
-      k_.reset_idle();
-      predictor_->observe(sim_->now(), k_.k());
-    }
-  }
+  executor_.start_gpu_watcher(period,
+                              [this] { load_.reset_idle(sim_->now()); });
 }
 
 // ---------------------------------------------------------------- client --
@@ -242,16 +178,6 @@ void OffloadClient::record_request_metrics(const InferenceRecord& rec) {
     queue_wait_ms_->record(rec.queue_wait_sec * 1e3);
 }
 
-double OffloadClient::partition_overhead_sec(std::size_t nodes,
-                                             bool device) const {
-  return device ? params_.device_partition_base_sec +
-                      params_.device_partition_per_node_sec *
-                          static_cast<double>(nodes)
-                : params_.server_partition_base_sec +
-                      params_.server_partition_per_node_sec *
-                          static_cast<double>(nodes);
-}
-
 Decision OffloadClient::current_decision() const {
   const std::size_t n = profile_->n();
   switch (policy_) {
@@ -294,17 +220,31 @@ sim::Task OffloadClient::run_suffix_locally(std::size_t p,
                                             InferenceRecord* rec) {
   const auto& g = profile_->graph();
   const std::size_t n = profile_->n();
-  const DurationNs base = cpu_->segment_time(g, p + 1, n);
-  const DurationNs actual = std::max<DurationNs>(
-      1, static_cast<DurationNs>(
-             static_cast<double>(base) *
-             jitter_scale(rng_, cpu_->params().jitter_frac)));
+  const DurationNs actual = jittered(cpu_->segment_time(g, p + 1, n),
+                                     cpu_->params().jitter_frac, rng_);
   const TimeNs begin = sim_->now();
   co_await sim_->delay(actual);
   rec->device_sec += to_seconds(actual);
   if (auto* tr = trace())
     tr->span(track_, "suffix-local", begin, sim_->now(),
              obs::TraceArgs().arg("p", p));
+}
+
+sim::Task OffloadClient::degrade_locally(std::size_t p, FailureKind kind,
+                                         const char* instant,
+                                         InferenceRecord* rec) {
+  rec->outcome = InferenceOutcome::kDegradedLocal;
+  rec->last_failure = kind;
+  if (telemetry_ != nullptr) {
+    failure_counters_[static_cast<std::size_t>(kind)]->add();
+    if (auto* tr = trace())
+      tr->instant(track_, instant, sim_->now(), obs::TraceArgs().arg("p", p));
+  }
+  // A shed is a *reachability success* for the breaker: the server answered.
+  breaker_.record_success();
+  if (policy_ == Policy::kLoadPart)
+    k_cached_ = std::min(k_cached_ * params_.reject_k_backoff, 1e6);
+  co_await run_suffix_locally(p, rec);
 }
 
 sim::Task OffloadClient::infer(InferenceRecord* out) {
@@ -354,15 +294,13 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
   const partition::PartitionPlan* plan = cache_.find(p);
   if (plan == nullptr) {
     auto fresh = partition::partition_at(g, p);
-    const std::size_t nodes =
-        fresh.device_part ? fresh.device_part->backbone().size() : 0;
-    const double overhead = partition_overhead_sec(nodes, /*device=*/true);
-    rec.overhead_sec += overhead;
+    const PartitionMiss miss = partition_miss(params_, fresh, /*device=*/true);
+    rec.overhead_sec += miss.sec;
     const TimeNs prep_begin = sim_->now();
-    co_await sim_->delay(seconds(overhead));
+    co_await sim_->delay(seconds(miss.sec));
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
-               obs::TraceArgs().arg("p", p).arg("nodes", nodes));
+               obs::TraceArgs().arg("p", p).arg("nodes", miss.nodes));
     cache_.insert(std::move(fresh));
     plan = cache_.find(p);
     LP_CHECK(plan != nullptr);
@@ -370,11 +308,8 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
 
   // Execute the device prefix {L1..Lp}.
   if (p > 0) {
-    const DurationNs base = cpu_->segment_time(g, 0, p);
-    const DurationNs actual = std::max<DurationNs>(
-        1, static_cast<DurationNs>(
-               static_cast<double>(base) *
-               jitter_scale(rng_, cpu_->params().jitter_frac)));
+    const DurationNs actual = jittered(cpu_->segment_time(g, 0, p),
+                                       cpu_->params().jitter_frac, rng_);
     const TimeNs exec_begin = sim_->now();
     co_await sim_->delay(actual);
     if (auto* tr = trace())
@@ -457,23 +392,9 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
         request.bandwidth_bps = estimator_.estimate();
         const SubmitStatus submit = server_->submit(request);
         if (submit == SubmitStatus::kRejected) {
-          // "Server busy": the frontend shed the request. Degrade by
-          // finishing the suffix on the device (the uploaded tensors are
-          // wasted work) and treat the shed as a load signal. A shed is a
-          // *reachability success* for the breaker: the server answered.
-          rec.outcome = InferenceOutcome::kDegradedLocal;
-          rec.last_failure = FailureKind::kShed;
-          if (telemetry_ != nullptr) {
-            failure_counters_[static_cast<std::size_t>(FailureKind::kShed)]
-                ->add();
-            if (auto* tr = trace())
-              tr->instant(track_, "shed", sim_->now(),
-                          obs::TraceArgs().arg("p", p));
-          }
-          breaker_.record_success();
-          if (policy_ == Policy::kLoadPart)
-            k_cached_ = std::min(k_cached_ * params_.reject_k_backoff, 1e6);
-          co_await run_suffix_locally(p, &rec);
+          // "Server busy": the frontend shed the request. The uploaded
+          // tensors are wasted work; the shed itself is a load signal.
+          co_await degrade_locally(p, FailureKind::kShed, "shed", &rec);
           resolved = true;
           continue;
         }
@@ -517,24 +438,9 @@ sim::Task OffloadClient::infer(InferenceRecord* out) {
             // The dispatcher dropped the job because its deadline had
             // already passed in queue — retrying cannot beat a deadline
             // that is already gone, so this resolves exactly like an
-            // admission shed: degrade to the device, count the shed as a
-            // load signal (k backs off), and let the breaker see a
-            // reachability success (the server answered).
-            rec.outcome = InferenceOutcome::kDegradedLocal;
-            rec.last_failure = FailureKind::kDeadlineShed;
-            if (telemetry_ != nullptr) {
-              failure_counters_[static_cast<std::size_t>(
-                                    FailureKind::kDeadlineShed)]
-                  ->add();
-              if (auto* tr = trace())
-                tr->instant(track_, "deadline-shed", sim_->now(),
-                            obs::TraceArgs().arg("p", p));
-            }
-            breaker_.record_success();
-            if (policy_ == Policy::kLoadPart)
-              k_cached_ =
-                  std::min(k_cached_ * params_.reject_k_backoff, 1e6);
-            co_await run_suffix_locally(p, &rec);
+            // admission shed.
+            co_await degrade_locally(p, FailureKind::kDeadlineShed,
+                                     "deadline-shed", &rec);
             resolved = true;
             continue;
           } else {

@@ -23,6 +23,7 @@
 #include "core/load_factor.h"
 #include "core/load_signal.h"
 #include "core/predictor.h"
+#include "core/suffix_executor.h"
 #include "fault/retry.h"
 #include "hw/cpu_model.h"
 #include "hw/gpu_model.h"
@@ -223,18 +224,15 @@ class SuffixService {
   virtual LoadSignal load_signal(std::uint64_t session,
                                  DurationNs horizon) const = 0;
 
-  /// DEPRECATED thin shim over load_signal(session, 0).k_now, kept so
-  /// legacy call sites and tests read the reactive k through the same
-  /// signal path. Scheduled for removal (DESIGN.md §16).
-  double session_k(std::uint64_t session) const {
-    return load_signal(session, 0).k_now;
-  }
-
   /// False while the service is crashed: control-plane fetches (the
   /// profiler's k handshake) are skipped until it restarts.
   virtual bool alive() const { return true; }
 };
 
+/// The paper's single-tenant server: one FIFO channel into the shared
+/// SuffixExecutor, one partition cache and one k, measured over GPU
+/// execution time (suffix_executor.h explains why the serving frontend
+/// measures k differently).
 class OffloadServer : public SuffixService {
  public:
   OffloadServer(sim::Simulator& sim, hw::GpuScheduler& scheduler,
@@ -247,7 +245,7 @@ class OffloadServer : public SuffixService {
   SubmitStatus submit(SuffixRequest request) override;
 
   /// k as the runtime profiler would report it right now.
-  double current_k() const { return k_.k(); }
+  double current_k() const { return load_.k(); }
 
   /// The single-tenant server publishes one signal for every session:
   /// k_now is current_k(), k_forecast comes from the runtime predictor
@@ -261,28 +259,19 @@ class OffloadServer : public SuffixService {
   void start_gpu_watcher(DurationNs period);
 
   const partition::PartitionCache& cache() const { return cache_; }
-  LoadFactorTracker& load_tracker() { return k_; }
-  const predict::LoadPredictor& predictor() const { return *predictor_; }
+  const LoadFactorTracker& load_tracker() const { return load_.tracker(); }
+  const predict::LoadPredictor& predictor() const { return load_.predictor(); }
 
  private:
   sim::Task service();
-  sim::Task execute_suffix(std::size_t p, double* exec_seconds,
-                           double* overhead_seconds);
-  sim::Task gpu_watcher(DurationNs period);
 
   sim::Simulator* sim_;
-  hw::GpuScheduler* scheduler_;
-  const hw::GpuModel* gpu_;
   const GraphCostProfile* profile_;
   RuntimeParams params_;
-  hw::GpuScheduler::ContextId ctx_;
+  SuffixExecutor executor_;
   partition::PartitionCache cache_;
-  LoadFactorTracker k_;
-  std::unique_ptr<predict::LoadPredictor> predictor_;
+  LoadEstimator load_;
   sim::Channel<SuffixRequest> requests_;
-  Rng rng_;
-  DurationNs watcher_busy_mark_ = 0;
-  TimeNs watcher_time_mark_ = 0;
 };
 
 class OffloadClient {
@@ -344,7 +333,12 @@ class OffloadClient {
  private:
   sim::Task runtime_profiler(DurationNs period);
   sim::Task run_suffix_locally(std::size_t p, InferenceRecord* rec);
-  double partition_overhead_sec(std::size_t nodes, bool device) const;
+  /// Resolves an attempt the server answered but declined to run (an
+  /// admission shed or a dispatcher deadline shed): the request degrades to
+  /// the device, the breaker records a reachability success, and a
+  /// LoADPart client backs its cached k off.
+  sim::Task degrade_locally(std::size_t p, FailureKind kind,
+                            const char* instant, InferenceRecord* rec);
   /// Trace recorder when telemetry is attached and tracing is on.
   obs::TraceRecorder* trace() const {
     return telemetry_ != nullptr ? telemetry_->trace() : nullptr;

@@ -1,6 +1,7 @@
 // Periodic measurement utilities shared by benches and tests.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/units.h"
@@ -8,6 +9,15 @@
 #include "sim/simulator.h"
 
 namespace lp::core {
+
+/// Spawns the one GPU-utilization loop: every `period` (> 0) it hands
+/// `on_sample` the scheduler's busy share of the period just ended. The
+/// first period starts now. Both the monitor below and the servers' idle
+/// watcher (SuffixExecutor::start_gpu_watcher) run on it.
+void sample_gpu_utilization(sim::Simulator& sim,
+                            const hw::GpuScheduler& scheduler,
+                            DurationNs period,
+                            std::function<void(double)> on_sample);
 
 /// Samples GPU utilization over consecutive windows of `period` and stores
 /// the series; used by the motivation experiments (Fig. 2) and to verify
@@ -26,8 +36,6 @@ class UtilizationMonitor {
   double mean() const;
 
  private:
-  sim::Task sampler();
-
   sim::Simulator* sim_;
   const hw::GpuScheduler* scheduler_;
   DurationNs period_;

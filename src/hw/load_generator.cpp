@@ -1,7 +1,5 @@
 #include "hw/load_generator.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "models/zoo.h"
 
@@ -70,12 +68,7 @@ std::vector<DurationNs> LoadGenerator::jitter(
     const std::vector<DurationNs>& kernels, Rng& rng) const {
   std::vector<DurationNs> out;
   out.reserve(kernels.size());
-  for (auto k : kernels) {
-    const double scale =
-        std::max(0.2, 1.0 + jitter_frac_ * rng.normal());
-    out.push_back(std::max<DurationNs>(
-        1, static_cast<DurationNs>(static_cast<double>(k) * scale)));
-  }
+  for (auto k : kernels) out.push_back(jittered(k, jitter_frac_, rng));
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "common/check.h"
@@ -11,31 +12,24 @@ namespace lp::serve {
 
 namespace {
 
-struct ArrivalParams {
-  DurationNs gap = 0;
-  bool poisson = false;
-  // Markov-modulated burst state (burst_gap == 0 disables it and draws no
-  // extra randomness — legacy traces stay bit-identical).
-  DurationNs burst_gap = 0;
-  double burst_enter_prob = 0.0;
-  double burst_exit_prob = 0.0;
-};
-
+/// One client's arrival stream: infer, record, think (`calm_gap`, or the
+/// spec's burst gap while bursting), repeat. With burst_gap == 0 the burst
+/// chain draws no randomness, so burst-free runs stay bit-identical.
 sim::Task client_stream(sim::Simulator& sim, core::OffloadClient& client,
-                        ArrivalParams arrivals, Rng rng,
+                        const TenantSpec& spec, DurationNs calm_gap, Rng rng,
                         std::vector<core::InferenceRecord>& out) {
   bool bursting = false;
   for (;;) {
     core::InferenceRecord rec;
     co_await client.infer(&rec);
     out.push_back(rec);
-    DurationNs gap = arrivals.gap;
-    if (arrivals.burst_gap > 0) {
-      bursting = bursting ? !rng.bernoulli(arrivals.burst_exit_prob)
-                          : rng.bernoulli(arrivals.burst_enter_prob);
-      if (bursting) gap = arrivals.burst_gap;
+    DurationNs gap = calm_gap;
+    if (spec.burst_gap > 0) {
+      bursting = bursting ? !rng.bernoulli(spec.burst_exit_prob)
+                          : rng.bernoulli(spec.burst_enter_prob);
+      if (bursting) gap = spec.burst_gap;
     }
-    if (arrivals.poisson && gap > 0)
+    if (spec.poisson_arrivals && gap > 0)
       gap = std::max<DurationNs>(
           1, static_cast<DurationNs>(
                  rng.exponential(static_cast<double>(gap))));
@@ -43,20 +37,24 @@ sim::Task client_stream(sim::Simulator& sim, core::OffloadClient& client,
   }
 }
 
-sim::Task audit_driver(
-    sim::Simulator& sim, const EdgeServerFrontend& fe,
-    const std::function<void(const EdgeServerFrontend&, TimeNs)>& on_audit,
-    DurationNs period) {
+sim::Task audit_loop(sim::Simulator& sim, DurationNs period,
+                     std::function<void()> audit) {
   for (;;) {
     co_await sim.delay(period);
-    on_audit(fe, sim.now());
+    audit();
   }
 }
 
 }  // namespace
 
-std::vector<const core::InferenceRecord*> steady_records(
-    const std::vector<ClientTrace>& clients, DurationNs warmup, int tenant) {
+void start_audits(sim::Simulator& sim, DurationNs period,
+                  std::function<void()> audit) {
+  LP_CHECK(period > 0);
+  sim.spawn(audit_loop(sim, period, std::move(audit)));
+}
+
+std::vector<const core::InferenceRecord*> RunResult::steady(
+    int tenant) const {
   std::vector<const core::InferenceRecord*> out;
   for (const ClientTrace& trace : clients) {
     if (tenant >= 0 && trace.tenant != static_cast<std::size_t>(tenant))
@@ -67,23 +65,14 @@ std::vector<const core::InferenceRecord*> steady_records(
   return out;
 }
 
-std::vector<const core::InferenceRecord*> FleetResult::steady(
-    int tenant) const {
-  return steady_records(clients, warmup, tenant);
-}
-
-double FleetResult::requests_per_sec() const {
+double RunResult::requests_per_sec() const {
   const auto rs = steady();
   const double window = to_seconds(duration - warmup);
   if (window <= 0.0) return 0.0;
   return static_cast<double>(rs.size()) / window;
 }
 
-TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
-                               const std::vector<std::string>& tenant_names,
-                               const std::vector<double>& tenant_slo_sec,
-                               DurationNs warmup, DurationNs duration,
-                               int tenant) {
+TenantSummary RunResult::summarize(int tenant) const {
   TenantSummary s;
   s.name = tenant < 0 ? "fleet"
                       : tenant_names[static_cast<std::size_t>(tenant)];
@@ -153,9 +142,13 @@ TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
   return s;
 }
 
-TenantSummary FleetResult::summarize(int tenant) const {
-  return summarize_traces(clients, tenant_names, tenant_slo_sec, warmup,
-                          duration, tenant);
+void RunResult::publish(obs::MetricsRegistry& registry,
+                        const std::string& prefix) const {
+  for (std::size_t t = 0; t < tenant_names.size(); ++t) {
+    summarize(static_cast<int>(t))
+        .publish(registry, prefix + ".t" + std::to_string(t) + '.' +
+                               tenant_names[t]);
+  }
 }
 
 std::vector<std::string> TenantSummary::table_row(int latency_digits) const {
@@ -184,52 +177,33 @@ void TenantSummary::publish(obs::MetricsRegistry& registry,
   registry.gauge(prefix + ".requests_per_sec").set(requests_per_sec);
 }
 
-FleetResult run_fleet(const FleetConfig& config,
-                      const core::PredictorBundle& predictors) {
+Population::Population(
+    sim::Simulator& sim, const TestbedConfig& config,
+    const core::PredictorBundle& predictors,
+    const fault::FaultPlan* link_faults, double gap_exponent,
+    const std::function<SessionHome(const core::GraphCostProfile&)>& open,
+    RunResult* result) {
   LP_CHECK(!config.tenants.empty());
-  LP_CHECK(config.duration > 0);
-
-  sim::Simulator sim;
-  const hw::CpuModel cpu;
-  const hw::GpuModel gpu;
-  hw::GpuScheduler scheduler(sim);
-  EdgeServerFrontend frontend(sim, scheduler, gpu, config.frontend,
-                              config.runtime, config.seed ^ 0xf00d);
-  if (config.telemetry != nullptr) frontend.set_telemetry(config.telemetry);
-  frontend.start_gpu_watcher(config.watcher_period);
-  const bool faulty = !config.faults.empty();
-  if (faulty) frontend.attach_fault_plan(&config.faults);
-
-  struct TenantState {
-    graph::Graph model;
-    std::unique_ptr<core::GraphCostProfile> profile;
-  };
-  std::vector<std::unique_ptr<TenantState>> tenants;
-  std::vector<std::unique_ptr<net::Link>> links;
-  std::vector<std::unique_ptr<core::OffloadClient>> clients;
-
-  FleetResult result;
-  result.warmup = config.warmup;
-  result.duration = config.duration;
+  LP_CHECK(gap_exponent >= 0.0);
   std::size_t total_clients = 0;
   for (const TenantSpec& spec : config.tenants) {
     LP_CHECK(spec.clients > 0);
     total_clients += static_cast<std::size_t>(spec.clients);
   }
   // Reserve up front: the spawned streams hold references into the traces.
-  result.clients.reserve(total_clients);
+  result->clients.reserve(total_clients);
 
   std::uint64_t index = 0;
   for (std::size_t t = 0; t < config.tenants.size(); ++t) {
     const TenantSpec& spec = config.tenants[t];
-    result.tenant_names.push_back(spec.model);
-    result.tenant_slo_sec.push_back(spec.slo_sec);
-    auto state = std::unique_ptr<TenantState>(
-        new TenantState{models::make_model(spec.model), nullptr});
-    state->profile =
-        std::make_unique<core::GraphCostProfile>(state->model, predictors);
-    const core::GraphCostProfile& profile = *state->profile;
-    tenants.push_back(std::move(state));
+    result->tenant_names.push_back(spec.model);
+    result->tenant_slo_sec.push_back(spec.slo_sec);
+    auto tenant = std::unique_ptr<Tenant>(
+        new Tenant{models::make_model(spec.model), nullptr});
+    tenant->profile =
+        std::make_unique<core::GraphCostProfile>(tenant->model, predictors);
+    const core::GraphCostProfile& profile = *tenant->profile;
+    tenants_.push_back(std::move(tenant));
 
     core::RuntimeParams runtime = config.runtime;
     runtime.slo_sec = spec.slo_sec;
@@ -239,64 +213,80 @@ FleetResult run_fleet(const FleetConfig& config,
           config.seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
       // Link faults splice into every tenant trace: a blackout window
       // hits the whole radio environment, not one client.
-      links.push_back(std::make_unique<net::Link>(
-          sim,
-          faulty ? net::apply_link_faults(spec.upload, config.faults)
-                 : spec.upload,
-          faulty ? net::apply_link_faults(spec.download, config.faults)
-                 : spec.download,
-          spec.rtt, seed ^ 0x71));
-      if (faulty) links.back()->attach_faults(&config.faults);
-      const std::uint64_t session = frontend.open_session(profile);
-      clients.push_back(std::make_unique<core::OffloadClient>(
-          sim, cpu, profile, *links.back(), frontend, spec.policy, runtime,
-          seed ^ 0xc1, session));
+      if (link_faults == nullptr) {
+        links_.push_back(std::make_unique<net::Link>(
+            sim, spec.upload, spec.download, spec.rtt, seed ^ 0x71));
+      } else {
+        links_.push_back(std::make_unique<net::Link>(
+            sim, net::apply_link_faults(spec.upload, *link_faults),
+            net::apply_link_faults(spec.download, *link_faults), spec.rtt,
+            seed ^ 0x71));
+        links_.back()->attach_faults(link_faults);
+      }
+      const SessionHome home = open(profile);
+      clients_.push_back(std::make_unique<core::OffloadClient>(
+          sim, cpu_, profile, *links_.back(), *home.server, spec.policy,
+          runtime, seed ^ 0xc1, home.session));
       if (config.telemetry != nullptr) {
         // Client and link share one track so transfer spans nest under
         // the client's request spans.
-        std::string track = "t";
-        track += std::to_string(t);
-        track += '/';
-        track += spec.model;
-        track += '#';
-        track += std::to_string(c);
-        links.back()->set_telemetry(config.telemetry, track);
-        clients.back()->set_telemetry(config.telemetry, track);
+        const std::string track = "t" + std::to_string(t) + '/' +
+                                  spec.model + '#' + std::to_string(c);
+        links_.back()->set_telemetry(config.telemetry, track);
+        clients_.back()->set_telemetry(config.telemetry, track);
       }
-      clients.back()->start_runtime_profiler(config.profiler_period);
-      result.clients.push_back(ClientTrace{t, {}});
-      sim.spawn(client_stream(
-          sim, *clients.back(),
-          ArrivalParams{spec.request_gap, spec.poisson_arrivals,
-                        spec.burst_gap, spec.burst_enter_prob,
-                        spec.burst_exit_prob},
-          Rng(seed ^ 0xa1), result.clients.back().records));
+      clients_.back()->start_runtime_profiler(config.profiler_period);
+      result->clients.push_back(ClientTrace{t, {}});
+
+      DurationNs gap = spec.request_gap;
+      if (gap_exponent > 0.0 && gap > 0)
+        gap = std::max<DurationNs>(
+            1, static_cast<DurationNs>(
+                   static_cast<double>(gap) *
+                   std::pow(static_cast<double>(c + 1), gap_exponent)));
+      sim.spawn(client_stream(sim, *clients_.back(), spec, gap,
+                              Rng(seed ^ 0xa1),
+                              result->clients.back().records));
     }
   }
+}
 
-  if (config.on_audit) {
-    LP_CHECK(config.audit_period > 0);
-    sim.spawn(audit_driver(sim, frontend, config.on_audit,
-                           config.audit_period));
-  }
+FleetResult run_fleet(const FleetConfig& config,
+                      const core::PredictorBundle& predictors) {
+  LP_CHECK(config.duration > 0);
+
+  sim::Simulator sim;
+  const hw::GpuModel gpu;
+  hw::GpuScheduler scheduler(sim);
+  EdgeServerFrontend frontend(sim, scheduler, gpu, config.frontend,
+                              config.runtime, config.seed ^ 0xf00d);
+  if (config.telemetry != nullptr) frontend.set_telemetry(config.telemetry);
+  frontend.start_gpu_watcher(config.watcher_period);
+  const bool faulty = !config.faults.empty();
+  if (faulty) frontend.attach_fault_plan(&config.faults);
+
+  FleetResult result;
+  result.warmup = config.warmup;
+  result.duration = config.duration;
+  const Population population(
+      sim, config, predictors, faulty ? &config.faults : nullptr, 0.0,
+      [&frontend](const core::GraphCostProfile& profile) {
+        return SessionHome{&frontend, frontend.open_session(profile)};
+      },
+      &result);
+
+  if (config.on_audit)
+    start_audits(sim, config.audit_period,
+                 [&] { config.on_audit(frontend, sim.now()); });
 
   sim.run_until(config.duration);
   if (config.on_audit) config.on_audit(frontend, sim.now());
 
   result.frontend = frontend.load_snapshot();
-
   // Per-tenant steady-state summaries land in the registry so one snapshot
   // export carries the whole experiment.
-  if (config.telemetry != nullptr) {
-    auto& metrics = config.telemetry->metrics();
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-      std::string prefix = "fleet.t";
-      prefix += std::to_string(t);
-      prefix += '.';
-      prefix += result.tenant_names[t];
-      result.summarize(static_cast<int>(t)).publish(metrics, prefix);
-    }
-  }
+  if (config.telemetry != nullptr)
+    result.publish(config.telemetry->metrics(), "fleet");
   return result;
 }
 

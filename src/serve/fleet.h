@@ -1,12 +1,15 @@
 // FleetDriver: spawns a heterogeneous fleet of offloading clients against
 // one EdgeServerFrontend and collects per-request records.
 //
-// This replaces the ad-hoc "ClientRig" wiring the multi-client benches used
-// to copy-paste: each tenant describes a model, a client count, a link, an
-// arrival process and an SLO; run_fleet() builds the simulated testbed
-// (shared GPU scheduler, one frontend, per-client links and sessions), runs
-// it for the configured duration, and returns every InferenceRecord plus
+// Each tenant describes a model, a client count, a link, an arrival process
+// and an SLO; run_fleet() builds the simulated testbed (shared GPU
+// scheduler, one frontend, per-client links and sessions), runs it for the
+// configured duration, and returns every InferenceRecord plus
 // frontend-level counters. Deterministic given config.seed.
+//
+// The client side of the testbed (Population) and the result base
+// (RunResult) are shared with the cluster layer's run_cluster(), which
+// differs only in its servers: N frontends behind a ClusterRouter.
 #pragma once
 
 #include <functional>
@@ -48,26 +51,30 @@ struct TenantSpec {
   double slo_sec = 0.0;
 };
 
-struct FleetConfig {
+/// The settings every testbed shares (run_fleet and run_cluster).
+struct TestbedConfig {
   std::vector<TenantSpec> tenants;
-  FrontendParams frontend;
+  FrontendParams frontend;  ///< every server's frontend
   core::RuntimeParams runtime;
-  /// Fault schedule for the whole testbed: link faults apply to every
-  /// tenant link, server crashes and straggle windows to the frontend.
-  /// Empty (default) = the legacy no-failure universe, bit-identical to
-  /// runs that predate fault injection.
-  fault::FaultPlan faults;
   DurationNs duration = seconds(90);
   DurationNs warmup = seconds(30);  ///< excluded from summaries
   DurationNs profiler_period = seconds(5);
   DurationNs watcher_period = seconds(10);
   std::uint64_t seed = 1;
 
-  /// Telemetry sink wired through the whole testbed (frontend, links,
+  /// Telemetry sink wired through the whole testbed (frontends, links,
   /// clients); per-tenant summaries are published into its registry after
   /// the run. Null (default) = fully off: the run is bit-identical to one
-  /// without telemetry. Must outlive run_fleet().
+  /// without telemetry. Must outlive the run.
   obs::Telemetry* telemetry = nullptr;
+};
+
+struct FleetConfig : TestbedConfig {
+  /// Fault schedule for the whole testbed: link faults apply to every
+  /// tenant link, server crashes and straggle windows to the frontend.
+  /// Empty (default) = the legacy no-failure universe, bit-identical to
+  /// runs that predate fault injection.
+  fault::FaultPlan faults;
 
   /// Invariant auditing hook (the check subsystem arms it): when set, the
   /// callback runs against the live frontend every audit_period of sim
@@ -134,38 +141,75 @@ struct TenantSummary {
                const std::string& prefix) const;
 };
 
-/// Steady-state records across traces (tenant -1 = all); shared by
-/// FleetResult and the cluster layer's ClusterResult.
-std::vector<const core::InferenceRecord*> steady_records(
-    const std::vector<ClientTrace>& clients, DurationNs warmup,
-    int tenant = -1);
-
-/// Summarizes client traces into a TenantSummary (tenant -1 = everything).
-/// The workhorse behind FleetResult::summarize, exposed so multi-server
-/// results can reuse the identical accounting.
-TenantSummary summarize_traces(const std::vector<ClientTrace>& clients,
-                               const std::vector<std::string>& tenant_names,
-                               const std::vector<double>& tenant_slo_sec,
-                               DurationNs warmup, DurationNs duration,
-                               int tenant = -1);
-
-struct FleetResult {
+/// What every testbed run returns (FleetResult, cluster::ClusterResult):
+/// the record stream of each client and what it takes to summarize them.
+struct RunResult {
   std::vector<ClientTrace> clients;
   std::vector<std::string> tenant_names;
   std::vector<double> tenant_slo_sec;
   DurationNs warmup = 0;
   DurationNs duration = 0;
 
-  /// Frontend load/conservation counters at the end of the run — one
-  /// coherent snapshot instead of the ten scalars this used to copy.
-  LoadSnapshot frontend;
-
   /// Steady-state records of one tenant, or of every tenant (-1).
   std::vector<const core::InferenceRecord*> steady(int tenant = -1) const;
+  /// Steady-state summary of one tenant, or of the whole run (-1).
   TenantSummary summarize(int tenant = -1) const;
   /// Completed requests per second of steady-state time.
   double requests_per_sec() const;
+  /// Publishes every tenant's summary under "<prefix>.t<i>.<model>".
+  void publish(obs::MetricsRegistry& registry,
+               const std::string& prefix) const;
 };
+
+struct FleetResult : RunResult {
+  /// Frontend load/conservation counters at the end of the run — one
+  /// coherent snapshot instead of the ten scalars this used to copy.
+  LoadSnapshot frontend;
+};
+
+/// Where a testbed homes a new client: the service it submits to and its
+/// session there.
+struct SessionHome {
+  core::SuffixService* server = nullptr;
+  std::uint64_t session = 0;
+};
+
+/// The client side of a testbed. For each tenant it builds the model and
+/// its cost profile; for each client it builds a link, opens a session
+/// through `open`, builds the OffloadClient, starts its runtime profiler
+/// and spawns its arrival stream (fixed or Poisson think times, optional
+/// Markov bursts), which appends to result->clients. `link_faults` (null =
+/// none) is spliced into every link. The calm think time of a tenant's
+/// client c is scaled by (c + 1)^gap_exponent (Zipf skew; 0 = none).
+/// Everything it builds must outlive the simulation run.
+class Population {
+ public:
+  Population(sim::Simulator& sim, const TestbedConfig& config,
+             const core::PredictorBundle& predictors,
+             const fault::FaultPlan* link_faults, double gap_exponent,
+             const std::function<SessionHome(const core::GraphCostProfile&)>&
+                 open,
+             RunResult* result);
+
+  /// Clients in creation order.
+  const std::vector<std::unique_ptr<core::OffloadClient>>& clients() const {
+    return clients_;
+  }
+
+ private:
+  struct Tenant {
+    graph::Graph model;
+    std::unique_ptr<core::GraphCostProfile> profile;
+  };
+  const hw::CpuModel cpu_;
+  std::vector<std::unique_ptr<Tenant>> tenants_;
+  std::vector<std::unique_ptr<net::Link>> links_;
+  std::vector<std::unique_ptr<core::OffloadClient>> clients_;
+};
+
+/// Spawns `audit` every `period` (> 0) of sim time.
+void start_audits(sim::Simulator& sim, DurationNs period,
+                  std::function<void()> audit);
 
 /// Runs the fleet; deterministic given config.seed.
 FleetResult run_fleet(const FleetConfig& config,

@@ -8,14 +8,6 @@
 
 namespace lp::serve {
 
-namespace {
-/// Multiplicative jitter factor, clamped away from zero (matches the
-/// OffloadServer's executor jitter).
-double jitter_scale(Rng& rng, double frac) {
-  return std::max(0.2, 1.0 + frac * rng.normal());
-}
-}  // namespace
-
 EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
                                        hw::GpuScheduler& scheduler,
                                        const hw::GpuModel& gpu,
@@ -23,14 +15,11 @@ EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
                                        core::RuntimeParams runtime,
                                        std::uint64_t seed)
     : sim_(&sim),
-      scheduler_(&scheduler),
-      gpu_(&gpu),
       params_(params),
       runtime_(runtime),
-      ctx_(scheduler.create_context("serve-frontend")),
+      executor_(sim, scheduler, gpu, runtime, "serve-frontend", seed),
       queue_(params.policy, params.queue_capacity),
-      work_arrived_(sim),
-      rng_(seed) {
+      work_arrived_(sim) {
   LP_CHECK(params_.max_batch >= 1);
   delay_predictor_ = predict::make_predictor(runtime_.predictor);
   sim_->spawn(service());
@@ -38,30 +27,17 @@ EdgeServerFrontend::EdgeServerFrontend(sim::Simulator& sim,
 
 std::uint64_t EdgeServerFrontend::open_session(
     const core::GraphCostProfile& profile) {
-  sessions_.push_back(Session{&profile,
-                              core::LoadFactorTracker(runtime_.k_window),
-                              partition::PartitionCache(
-                                  runtime_.cache_capacity),
-                              net::BandwidthEstimator(
-                                  runtime_.bandwidth_window),
-                              predict::make_predictor(runtime_.predictor)});
+  sessions_.push_back(Session{
+      &profile, core::LoadEstimator(runtime_.k_window, runtime_.predictor),
+      partition::PartitionCache(runtime_.cache_capacity),
+      net::BandwidthEstimator(runtime_.bandwidth_window)});
   return sessions_.size() - 1;
 }
 
 core::LoadSignal EdgeServerFrontend::load_signal(std::uint64_t session,
                                                  DurationNs horizon) const {
   LP_CHECK(session < sessions_.size());
-  const Session& s = sessions_[session];
-  core::LoadSignal sig;
-  sig.k_now = s.k.k();
-  sig.k_forecast = sig.k_now;
-  if (s.predictor->samples() > 0) {
-    // Constraint 1c (k >= 1) applies to the forecast as much as to the
-    // measurement.
-    sig.k_forecast = std::max(1.0, s.predictor->forecast(horizon));
-    sig.age_ns = sim_->now() - s.predictor->last_observed();
-    sig.confidence = s.predictor->confidence();
-  }
+  core::LoadSignal sig = sessions_[session].load.signal(sim_->now(), horizon);
   apply_delay_drift(horizon, &sig);
   return sig;
 }
@@ -75,15 +51,14 @@ core::LoadSignal EdgeServerFrontend::load_signal(DurationNs horizon) const {
     TimeNs newest = 0;
     bool observed = false;
     for (const Session& s : sessions_) {
-      k_now += s.k.k();
-      double forecast = s.k.k();
-      if (s.predictor->samples() > 0) {
-        forecast = std::max(1.0, s.predictor->forecast(horizon));
-        confidence += s.predictor->confidence();
-        newest = std::max(newest, s.predictor->last_observed());
+      const core::LoadSignal one = s.load.signal(sim_->now(), horizon);
+      k_now += one.k_now;
+      k_forecast += one.k_forecast;
+      confidence += one.confidence;  // 0 until the first observation
+      if (s.load.predictor().samples() > 0) {
+        newest = std::max(newest, s.load.predictor().last_observed());
         observed = true;
       }
-      k_forecast += forecast;
     }
     const double n = static_cast<double>(sessions_.size());
     sig.k_now = k_now / n;
@@ -127,16 +102,10 @@ const partition::PartitionCache& EdgeServerFrontend::session_cache(
   return sessions_[session].cache;
 }
 
-const core::LoadFactorTracker& EdgeServerFrontend::session_tracker(
+const core::LoadEstimator& EdgeServerFrontend::session_load(
     std::uint64_t session) const {
   LP_CHECK(session < sessions_.size());
-  return sessions_[session].k;
-}
-
-const predict::LoadPredictor& EdgeServerFrontend::session_predictor(
-    std::uint64_t session) const {
-  LP_CHECK(session < sessions_.size());
-  return *sessions_[session].predictor;
+  return sessions_[session].load;
 }
 
 double EdgeServerFrontend::session_bandwidth_bps(
@@ -208,16 +177,13 @@ SessionExport EdgeServerFrontend::export_session(std::uint64_t session) {
   LP_CHECK(session < sessions_.size());
   Session& s = sessions_[session];
   SessionExport ex;
-  ex.state.k = s.k.export_state();
+  ex.state.k = s.load.tracker().export_state();
   ex.state.cache = s.cache.export_contents();
   ex.state.bandwidth = s.bandwidth.export_state();
-  ex.state.predictor = s.predictor->export_state();
+  ex.state.predictor = s.load.predictor().export_state();
   // The local copy resets to fresh: stragglers submitted before the client
   // learns its new endpoint are still served here, against cold state.
-  s.k = core::LoadFactorTracker(runtime_.k_window);
-  s.cache.clear();
-  s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-  s.predictor->reset();
+  wipe(s);
 
   ex.jobs = queue_.take_session(session);
   migrated_out_ += ex.jobs.size();
@@ -268,10 +234,9 @@ bool EdgeServerFrontend::import_session(std::uint64_t session,
   }
   if (!down_) {
     Session& s = sessions_[session];
-    s.k.import_state(ex.state.k);
+    s.load.import_state(ex.state.k, ex.state.predictor);
     s.cache.import_contents(std::move(ex.state.cache));
     s.bandwidth.import_state(ex.state.bandwidth);
-    s.predictor->import_state(ex.state.predictor);
   }
   const std::size_t jobs = ex.jobs.size();
   for (QueuedJob& job : ex.jobs) {
@@ -341,11 +306,8 @@ std::size_t EdgeServerFrontend::fence_session(std::uint64_t session,
   // completion (execute_batch re-checks job.epoch against the fence).
   // Volatile state resets: a zombie's windows describe a placement the
   // session has left.
-  s.k = core::LoadFactorTracker(runtime_.k_window);
-  s.cache.clear();
+  wipe(s);
   s.cache.reset_stats();
-  s.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-  s.predictor->reset();
   if (telemetry_ != nullptr) {
     if (fenced > 0) failed_counter_->add(std::int64_t(fenced));
     if (auto* tr = trace()) {
@@ -570,18 +532,15 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   for (const QueuedJob& job : batch)
     if (sessions_[job.session].cache.find(p) == nullptr) miss = true;
   if (miss) {
-    auto plan = partition::partition_at(g, p);
-    const std::size_t nodes =
-        plan.server_part ? plan.server_part->backbone().size() : 0;
-    overhead = runtime_.server_partition_base_sec +
-               runtime_.server_partition_per_node_sec *
-                   static_cast<double>(nodes);
+    const core::PartitionMiss cost = core::partition_miss(
+        runtime_, partition::partition_at(g, p), /*device=*/false);
+    overhead = cost.sec;
     const TimeNs prep_begin = sim_->now();
     co_await sim_->delay(seconds(overhead));
     if (epoch_ != epoch) co_return;
     if (auto* tr = trace())
       tr->span(track_, "partition-prepare", prep_begin, sim_->now(),
-               obs::TraceArgs().arg("p", p).arg("nodes", nodes));
+               obs::TraceArgs().arg("p", p).arg("nodes", cost.nodes));
     for (const QueuedJob& job : batch) {
       Session& session = sessions_[job.session];
       if (session.cache.find(p) == nullptr)
@@ -596,24 +555,12 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
   // box, not GPU queue contention — so it is invisible to pending_kernels
   // and to the idle watcher, exactly the slow-server case timeouts exist
   // for).
-  auto kernels =
-      batch.size() > 1
-          ? gpu_->batched_segment_kernels(g, p + 1, n, batch.size())
-          : (runtime_.fused_server_kernels
-                 ? gpu_->fused_segment_kernels(g, p + 1, n)
-                 : gpu_->segment_kernels(g, p + 1, n));
-  const double jf = gpu_->params().jitter_frac;
   const double straggle =
       faults_ != nullptr ? faults_->straggle_factor(sim_->now()) : 1.0;
-  for (auto& k : kernels)
-    k = std::max<DurationNs>(
-        1, static_cast<DurationNs>(static_cast<double>(k) * straggle *
-                                   jitter_scale(rng_, jf)));
-  const bool gpu_contended = scheduler_->pending_kernels() > 4;
-  const TimeNs begin = sim_->now();
-  co_await scheduler_->run_batch(ctx_, std::move(kernels), batch.size());
+  core::SuffixExecutor::Run run;
+  co_await executor_.run(g, p, n, batch.size(), straggle, &run);
   if (epoch_ != epoch) co_return;
-  const double exec = to_seconds(sim_->now() - begin);
+  const double exec = run.exec_sec;
   const TimeNs finished = sim_->now();
 
   ++dispatches_;
@@ -640,16 +587,10 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     // Waiting longer than the batching window means the queue was the
     // bottleneck, not the coalescing delay.
     const bool contended =
-        gpu_contended ||
-        dispatch_time - job.enqueued > params_.batch_window;
-    if (predicted > 0.0) {
-      Session& owner = sessions_[job.session];
-      owner.k.record(service, predicted, contended);
-      // Every k mutation feeds the session predictor, so the last-value
-      // forecast is exactly the published reactive k. The returned error
-      // scores the forecast this job's admission would have read.
-      note_forecast_error(owner.predictor->observe(finished, owner.k.k()));
-    }
+        run.contended || dispatch_time - job.enqueued > params_.batch_window;
+    // The returned error scores the forecast this job's admission read.
+    note_forecast_error(sessions_[job.session].load.record(
+        finished, service, predicted, contended));
     // The client's deadline watcher may have resolved this attempt
     // already; its trigger wins and the late result is dropped.
     if (!job.done->triggered()) {
@@ -667,7 +608,7 @@ sim::Task EdgeServerFrontend::execute_batch(std::vector<QueuedJob> batch) {
     if (served_now < batch.size())
       failed_counter_->add(std::int64_t(batch.size() - served_now));
     if (auto* tr = trace())
-      tr->span(track_, "suffix-exec", begin, finished,
+      tr->span(track_, "suffix-exec", run.begin, finished,
                obs::TraceArgs()
                    .arg("batch", batch.size())
                    .arg("p", p)
@@ -761,11 +702,8 @@ void EdgeServerFrontend::crash() {
   // the state) and re-warm through the ordinary profiler handshake after
   // restart().
   for (Session& session : sessions_) {
-    session.k = core::LoadFactorTracker(runtime_.k_window);
-    session.cache.clear();
+    wipe(session);
     session.cache.reset_stats();
-    session.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
-    session.predictor->reset();
   }
   delay_predictor_->reset();
   in_flight_sec_ = 0.0;
@@ -780,29 +718,16 @@ void EdgeServerFrontend::restart() {
 }
 
 void EdgeServerFrontend::start_gpu_watcher(DurationNs period) {
-  watcher_busy_mark_ = scheduler_->busy_ns();
-  watcher_time_mark_ = sim_->now();
-  sim_->spawn(gpu_watcher(period));
+  // Section IV, per session: an idle GPU resets every session's k.
+  executor_.start_gpu_watcher(period, [this] {
+    for (Session& session : sessions_) session.load.reset_idle(sim_->now());
+  });
 }
 
-sim::Task EdgeServerFrontend::gpu_watcher(DurationNs period) {
-  LP_CHECK(period > 0);
-  for (;;) {
-    co_await sim_->delay(period);
-    const DurationNs busy = scheduler_->busy_ns();
-    const double util = static_cast<double>(busy - watcher_busy_mark_) /
-                        static_cast<double>(sim_->now() - watcher_time_mark_);
-    watcher_busy_mark_ = busy;
-    watcher_time_mark_ = sim_->now();
-    if (util < runtime_.gpu_util_threshold)
-      for (Session& session : sessions_) {
-        session.k.reset_idle();
-        // The idle reset is a k mutation like any other: the predictor
-        // must see the published series step down, or a later forecast
-        // would extrapolate from pre-reset values.
-        session.predictor->observe(sim_->now(), session.k.k());
-      }
-  }
+void EdgeServerFrontend::wipe(Session& session) {
+  session.load.reset();
+  session.cache.clear();
+  session.bandwidth = net::BandwidthEstimator(runtime_.bandwidth_window);
 }
 
 }  // namespace lp::serve

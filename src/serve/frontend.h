@@ -30,6 +30,7 @@
 
 #include "core/load_signal.h"
 #include "core/offload_runtime.h"
+#include "core/suffix_executor.h"
 #include "fault/fault_plan.h"
 #include "obs/telemetry.h"
 #include "predict/load_predictor.h"
@@ -264,8 +265,8 @@ class EdgeServerFrontend : public core::SuffixService {
   std::uint64_t session_fence(std::uint64_t session) const;
 
   const partition::PartitionCache& session_cache(std::uint64_t session) const;
-  const core::LoadFactorTracker& session_tracker(std::uint64_t session) const;
-  const predict::LoadPredictor& session_predictor(std::uint64_t session) const;
+  /// The session's k tracker and forecaster (read-only).
+  const core::LoadEstimator& session_load(std::uint64_t session) const;
   double session_bandwidth_bps(std::uint64_t session) const;
 
   /// The request queue itself — read-only, for the invariant layer
@@ -292,13 +293,10 @@ class EdgeServerFrontend : public core::SuffixService {
  private:
   struct Session {
     const core::GraphCostProfile* profile;
-    core::LoadFactorTracker k;
+    /// The session's k (over service time) and its forecaster.
+    core::LoadEstimator load;
     partition::PartitionCache cache;
     net::BandwidthEstimator bandwidth;
-    /// Forecaster over the session's published k series: observed on every
-    /// tracker mutation (so the last-value default forecasts exactly the
-    /// reactive k), reset wherever the tracker is reconstructed.
-    std::unique_ptr<predict::LoadPredictor> predictor;
     std::uint64_t submitted = 0;
     std::uint64_t admitted = 0;
     std::uint64_t shed = 0;
@@ -309,8 +307,11 @@ class EdgeServerFrontend : public core::SuffixService {
 
   sim::Task service();
   sim::Task execute_batch(std::vector<QueuedJob> batch);
-  sim::Task gpu_watcher(DurationNs period);
   sim::Task crash_driver();
+
+  /// Drops the session's volatile state (k, forecaster, partition cache,
+  /// bandwidth window); the registration and its counters survive.
+  void wipe(Session& session);
 
   /// Will-miss shedding: fails every queued job whose deadline has already
   /// passed with SuffixStatus::kDeadlineShed (params_.shed_will_miss path,
@@ -327,15 +328,12 @@ class EdgeServerFrontend : public core::SuffixService {
   void apply_delay_drift(DurationNs horizon, core::LoadSignal* sig) const;
 
   sim::Simulator* sim_;
-  hw::GpuScheduler* scheduler_;
-  const hw::GpuModel* gpu_;
   FrontendParams params_;
   core::RuntimeParams runtime_;
-  hw::GpuScheduler::ContextId ctx_;
+  core::SuffixExecutor executor_;
   std::deque<Session> sessions_;  // deque: stable across open_session
   RequestQueue queue_;
   sim::Event work_arrived_;
-  Rng rng_;
   std::uint64_t next_seq_ = 0;
   double in_flight_sec_ = 0.0;
   std::uint64_t submitted_ = 0;
@@ -345,8 +343,6 @@ class EdgeServerFrontend : public core::SuffixService {
   std::uint64_t dispatches_ = 0;
   std::uint64_t batched_dispatches_ = 0;
   std::uint64_t batched_jobs_ = 0;
-  DurationNs watcher_busy_mark_ = 0;
-  TimeNs watcher_time_mark_ = 0;
   // Fault state. `epoch_` bumps on every crash; execute_batch re-checks it
   // after every suspension and abandons work from a dead epoch. `inflight_`
   // lets crash() fail the batch currently on the GPU.

@@ -162,7 +162,7 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   }
   h.sim.run_until(seconds(30));
   ASSERT_EQ(h.a.served(), 6u);
-  ASSERT_GT(h.a.session_tracker(s).window_size(), 0u);
+  ASSERT_GT(h.a.session_load(s).tracker().window_size(), 0u);
   ASSERT_GT(h.a.session_cache(s).size(), 0u);
 
   serve::SessionExport ex = h.a.export_session(s);
@@ -171,9 +171,9 @@ TEST(SessionMigration, RoundTripStateIsBitIdentical) {
   const serve::SessionState original = ex.state;
 
   // The source session reset to fresh.
-  EXPECT_EQ(h.a.session_tracker(s).window_size(), 0u);
+  EXPECT_EQ(h.a.session_load(s).tracker().window_size(), 0u);
   EXPECT_EQ(h.a.session_cache(s).size(), 0u);
-  EXPECT_DOUBLE_EQ(h.a.session_k(s), 1.0);
+  EXPECT_DOUBLE_EQ(h.a.load_signal(s, 0).k_now, 1.0);
 
   h.b.import_session(s, std::move(ex));
 
@@ -199,20 +199,22 @@ TEST(SessionMigration, PredictorStateRoundTripsBitIdentical) {
               core::SubmitStatus::kAccepted);
   }
   h.sim.run_until(seconds(30));
-  ASSERT_GT(h.a.session_predictor(s).samples(), 0u);
-  const double forecast_before = h.a.session_predictor(s).forecast(seconds(1));
+  ASSERT_GT(h.a.session_load(s).predictor().samples(), 0u);
+  const double forecast_before =
+      h.a.session_load(s).predictor().forecast(seconds(1));
 
   serve::SessionExport ex = h.a.export_session(s);
   const serve::SessionState original = ex.state;
   // Holt packs level + trend; the payload is charged to the wire.
   EXPECT_GT(predict::state_wire_bytes(original.predictor), 0);
   // The source predictor reset alongside the tracker it shadows.
-  EXPECT_EQ(h.a.session_predictor(s).samples(), 0u);
+  EXPECT_EQ(h.a.session_load(s).predictor().samples(), 0u);
 
   h.b.import_session(s, std::move(ex));
   check::audit_equal(original.predictor,
-                     h.b.session_predictor(s).export_state());
-  EXPECT_EQ(h.b.session_predictor(s).forecast(seconds(1)), forecast_before);
+                     h.b.session_load(s).predictor().export_state());
+  EXPECT_EQ(h.b.session_load(s).predictor().forecast(seconds(1)),
+            forecast_before);
 
   serve::SessionExport back = h.b.export_session(s);
   check::audit_equal(original, back.state);
@@ -390,6 +392,25 @@ TEST(RunCluster, LeastLoadedColdStartRoundRobins) {
   // 6 clients over 3 cold servers: every server admitted work (the cold
   // start spread 2-2-2 rather than piling onto server 0).
   for (const auto& s : result.servers) EXPECT_GT(s.admitted, 0u);
+}
+
+TEST(RunCluster, BurstyTenantIssuesMoreRequests) {
+  // TenantSpec's Markov bursts drive cluster clients as well as fleet
+  // clients: a bursting client thinks burst_gap instead of request_gap, so
+  // the bursty tenant issues more requests than the same tenant calm.
+  ClusterConfig calm = base_config(5);
+  calm.duration = seconds(10);
+  calm.warmup = seconds(0);
+  calm.tenants[0].request_gap = milliseconds(200);
+  ClusterConfig bursty = calm;
+  bursty.tenants[0].burst_gap = milliseconds(5);
+  bursty.tenants[0].burst_enter_prob = 0.5;
+  bursty.tenants[0].burst_exit_prob = 0.1;
+  const std::size_t calm_requests =
+      run_cluster(calm, bundle()).summarize().requests();
+  const std::size_t bursty_requests =
+      run_cluster(bursty, bundle()).summarize().requests();
+  EXPECT_GT(bursty_requests, calm_requests * 3 / 2);
 }
 
 TEST(RunCluster, SameSeedRunsAreIdentical) {

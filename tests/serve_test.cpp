@@ -394,8 +394,8 @@ TEST(EdgeServerFrontend, SessionsTrackKIndependently) {
   }
   h.sim.run_until(seconds(60));
 
-  EXPECT_GT(h.frontend.session_k(busy), 1.5);
-  EXPECT_DOUBLE_EQ(h.frontend.session_k(idle), 1.0);
+  EXPECT_GT(h.frontend.load_signal(busy, 0).k_now, 1.5);
+  EXPECT_DOUBLE_EQ(h.frontend.load_signal(idle, 0).k_now, 1.0);
   // And the per-session partition caches are isolated too.
   EXPECT_EQ(h.frontend.session_cache(busy).size(), 1u);
   EXPECT_EQ(h.frontend.session_cache(idle).size(), 0u);
@@ -476,13 +476,13 @@ TEST(EdgeServerFrontend, CrashWipesPartitionCacheAndKWindow) {
               core::SubmitStatus::kAccepted);
   }
   h.sim.run_until(seconds(60));
-  ASSERT_GT(h.frontend.session_k(s), 1.5);
+  ASSERT_GT(h.frontend.load_signal(s, 0).k_now, 1.5);
   ASSERT_EQ(h.frontend.session_cache(s).size(), 1u);
 
   // The crash wipes both: cold cache, idle k, empty queue.
   h.frontend.crash();
   EXPECT_EQ(h.frontend.session_cache(s).size(), 0u);
-  EXPECT_DOUBLE_EQ(h.frontend.session_k(s), 1.0);
+  EXPECT_DOUBLE_EQ(h.frontend.load_signal(s, 0).k_now, 1.0);
   EXPECT_EQ(h.frontend.queue_depth(), 0u);
 
   // After restart the first request re-pays the partition overhead.
