@@ -21,10 +21,12 @@
 // absorbed after the router moved on — double execution). The claim: the
 // robust arm loses zero at every heartbeat/interconnect loss rate up to
 // 50%, crash or no crash, while the naive arm measurably loses and
-// double-executes at 20% loss.
+// double-executes at 20% loss. Claims (exit 1 on violation): that
+// contrast, at least one conservation audit, a measured time-to-detect,
+// and a bit-identical re-run.
 //
-// --smoke shrinks the run for CI. --trace PATH writes a Chrome trace of
-// one robust 20%-loss crash run (CI runs it twice and byte-compares).
+// --trace PATH writes a Chrome trace of one robust 20%-loss crash run
+// (ctest `determinism.cluster_chaos` runs it twice and byte-compares).
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "check/invariants.h"
+#include "claims.h"
 #include "cluster/fleet.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -171,7 +174,7 @@ CellStats run_cell(const cluster::ClusterConfig& base, bool robust,
   return stats;
 }
 
-void determinism_check(const cluster::ClusterConfig& base,
+bool determinism_check(const cluster::ClusterConfig& base,
                        const ChaosCell& cell, TimeNs crash_at,
                        TimeNs restart_at,
                        const core::PredictorBundle& bundle,
@@ -181,22 +184,12 @@ void determinism_check(const cluster::ClusterConfig& base,
   apply_chaos(config, cell, crash_at, restart_at);
   const auto a = cluster::run_cluster(config, bundle);
   const auto b = cluster::run_cluster(config, bundle);
-  bool identical = a.clients.size() == b.clients.size() &&
-                   a.migrations == b.migrations &&
-                   a.aborted_migrations == b.aborted_migrations &&
-                   a.migration_retries == b.migration_retries &&
-                   a.death_events == b.death_events;
-  std::size_t records = 0;
-  for (std::size_t i = 0; identical && i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    identical = ra.size() == rb.size();
-    records += ra.size();
-    for (std::size_t j = 0; identical && j < ra.size(); ++j)
-      identical = ra[j].start == rb[j].start && ra[j].p == rb[j].p &&
-                  ra[j].total_sec == rb[j].total_sec &&
-                  ra[j].outcome == rb[j].outcome;
-  }
+  const auto same = benchutil::identical_records(a, b);
+  const bool identical = same && a.migrations == b.migrations &&
+                         a.aborted_migrations == b.aborted_migrations &&
+                         a.migration_retries == b.migration_retries &&
+                         a.death_events == b.death_events;
+  const std::size_t records = same.value_or(0);
   std::printf(
       "Determinism: two chaos runs (20%% loss + crash, seed %llu) -> %zu "
       "records, %llu migrations, %s\n",
@@ -205,6 +198,7 @@ void determinism_check(const cluster::ClusterConfig& base,
       identical ? "bit-identical" : "DIVERGED");
   report.set("determinism_records", records);
   report.set("deterministic", identical);
+  return identical;
 }
 
 int write_trace(const std::string& path,
@@ -227,13 +221,10 @@ int write_trace(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   std::string out_path = "BENCH_chaos.json";
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
       trace_path = argv[++i];
     else
       out_path = argv[i];
@@ -242,17 +233,15 @@ int main(int argc, char** argv) {
   const auto bundle = core::train_default_predictors();
   if (!trace_path.empty()) return write_trace(trace_path, bundle);
 
-  const DurationNs duration = smoke ? seconds(16) : seconds(40);
-  const DurationNs warmup = smoke ? seconds(4) : seconds(8);
+  const DurationNs duration = seconds(40);
+  const DurationNs warmup = seconds(8);
   // The crash lands inside the steady-state window (off the heartbeat
   // grid, so time-to-detect is honest) and heals before the end, so
   // detection, rerouting and recovery are all on the record.
   const TimeNs crash_at =
       warmup + (duration - warmup) / 4 + milliseconds(73);
   const TimeNs restart_at = warmup + (duration - warmup) * 5 / 8;
-  const std::vector<double> loss_rates =
-      smoke ? std::vector<double>{0.0, 0.2, 0.5}
-            : std::vector<double>{0.0, 0.1, 0.2, 0.5};
+  const std::vector<double> loss_rates = {0.0, 0.1, 0.2, 0.5};
 
   const cluster::ClusterConfig base = base_config(duration, warmup);
   obs::Report report("cluster_chaos");
@@ -333,6 +322,9 @@ int main(int argc, char** argv) {
       "gets lossy. (The naive arm's flatter p90 under chaos is "
       "survivorship: the deepest queues are exactly the payloads it "
       "dropped.)\n\n");
+  const double mean_detect_ms =
+      robust_detect_count > 0 ? robust_detect_sum / robust_detect_count
+                              : -1.0;
   std::printf(
       "Robust lost (all cells, must be 0): %llu | naive lost at 20%% loss "
       "+ crash (must be > 0): %llu | naive lost total: %llu | "
@@ -340,9 +332,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(robust_lost),
       static_cast<unsigned long long>(naive_lost_at_20),
       static_cast<unsigned long long>(naive_lost_total),
-      static_cast<unsigned long long>(auditor.audits()),
-      robust_detect_count > 0 ? robust_detect_sum / robust_detect_count
-                              : -1.0);
+      static_cast<unsigned long long>(auditor.audits()), mean_detect_ms);
 
   report.set("robust_lost", static_cast<std::size_t>(robust_lost));
   report.set("naive_lost_at_20",
@@ -351,15 +341,20 @@ int main(int argc, char** argv) {
              static_cast<std::size_t>(naive_lost_total));
   report.set("conservation_audits",
              static_cast<std::size_t>(auditor.audits()));
-  report.set("mean_detect_ms",
-             robust_detect_count > 0
-                 ? robust_detect_sum / robust_detect_count
-                 : -1.0);
+  report.set("mean_detect_ms", mean_detect_ms);
 
-  determinism_check(base, {0.2, true}, crash_at, restart_at, bundle,
-                    report);
+  const bool deterministic = determinism_check(
+      base, {0.2, true}, crash_at, restart_at, bundle, report);
 
   report.write_json(out_path);
   report.maybe_write_csv_env();
-  return 0;
+
+  const benchutil::Claim claims[] = {
+      {"robust_lost == 0", robust_lost == 0},
+      {"naive_lost_at_20 > 0", naive_lost_at_20 > 0},
+      {"conservation_audits > 0", auditor.audits() > 0},
+      {"mean_detect_ms >= 0", mean_detect_ms >= 0.0},
+      {"deterministic", deterministic},
+  };
+  return benchutil::print_claims(claims) ? 0 : 1;
 }

@@ -9,9 +9,11 @@
 // re-proves cluster-wide request conservation — a migration that lost or
 // duplicated a request would abort the bench. A final section re-runs one
 // configuration twice to show the record streams are bit-identical.
+// Claims (exit 1 on violation): the migrating router wins p90 and served/s
+// at every cluster size, loses no request, and re-runs bit-identically.
 //
-// --smoke shrinks the run for CI. --trace PATH writes a Chrome trace of
-// one migrating 2-server run (CI runs it twice and byte-compares).
+// --trace PATH writes a Chrome trace of one migrating 2-server run (ctest
+// `determinism.cluster_scaling` runs it twice and byte-compares).
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "check/invariants.h"
+#include "claims.h"
 #include "cluster/fleet.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -104,7 +107,7 @@ RunStats run_policy(const cluster::ClusterConfig& base,
   return stats;
 }
 
-void determinism_check(const core::PredictorBundle& bundle,
+bool determinism_check(const core::PredictorBundle& bundle,
                        obs::Report& report, DurationNs duration,
                        DurationNs warmup) {
   cluster::ClusterConfig config = base_config(2, duration, warmup);
@@ -112,20 +115,10 @@ void determinism_check(const core::PredictorBundle& bundle,
   config.router.rebalance = true;
   const auto a = cluster::run_cluster(config, bundle);
   const auto b = cluster::run_cluster(config, bundle);
-  bool identical = a.clients.size() == b.clients.size() &&
-                   a.migrations == b.migrations &&
-                   a.migrated_jobs == b.migrated_jobs;
-  std::size_t records = 0;
-  for (std::size_t i = 0; identical && i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    identical = ra.size() == rb.size();
-    records += ra.size();
-    for (std::size_t j = 0; identical && j < ra.size(); ++j)
-      identical = ra[j].start == rb[j].start && ra[j].p == rb[j].p &&
-                  ra[j].total_sec == rb[j].total_sec &&
-                  ra[j].outcome == rb[j].outcome;
-  }
+  const auto same = benchutil::identical_records(a, b);
+  const bool identical = same && a.migrations == b.migrations &&
+                         a.migrated_jobs == b.migrated_jobs;
+  const std::size_t records = same.value_or(0);
   std::printf(
       "Determinism: two migrating runs with seed %llu -> %zu records, "
       "%llu migrations, %s\n",
@@ -134,6 +127,7 @@ void determinism_check(const core::PredictorBundle& bundle,
       identical ? "bit-identical" : "DIVERGED");
   report.set("determinism_records", records);
   report.set("deterministic", identical);
+  return identical;
 }
 
 int write_trace(const std::string& path,
@@ -157,13 +151,10 @@ int write_trace(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   std::string out_path = "BENCH_cluster.json";
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
       trace_path = argv[++i];
     else
       out_path = argv[i];
@@ -172,11 +163,9 @@ int main(int argc, char** argv) {
   const auto bundle = core::train_default_predictors();
   if (!trace_path.empty()) return write_trace(trace_path, bundle);
 
-  const DurationNs duration = smoke ? seconds(16) : seconds(45);
-  const DurationNs warmup = smoke ? seconds(4) : seconds(10);
-  const std::vector<std::size_t> server_counts =
-      smoke ? std::vector<std::size_t>{2, 4}
-            : std::vector<std::size_t>{2, 4, 8};
+  const DurationNs duration = seconds(45);
+  const DurationNs warmup = seconds(10);
+  const std::vector<std::size_t> server_counts = {2, 4, 8};
   const std::vector<PolicyChoice> policies = {
       {"consistent-hash", cluster::Placement::kConsistentHash, false},
       {"least-loaded", cluster::Placement::kLeastLoaded, false},
@@ -256,9 +245,17 @@ int main(int argc, char** argv) {
              static_cast<std::size_t>(auditor.audits()));
   report.set("requests_lost", migrating_failed);
 
-  determinism_check(bundle, report, duration / 2, warmup / 2);
+  const bool deterministic =
+      determinism_check(bundle, report, duration / 2, warmup / 2);
 
   report.write_json(out_path);
   report.maybe_write_csv_env();
-  return 0;
+
+  const benchutil::Claim claims[] = {
+      {"requests_lost == 0", migrating_failed == 0},
+      {"p90_wins == server_counts", p90_wins == server_counts.size()},
+      {"served_wins == server_counts", served_wins == server_counts.size()},
+      {"deterministic", deterministic},
+  };
+  return benchutil::print_claims(claims) ? 0 : 1;
 }

@@ -23,12 +23,11 @@
 //   4. the whole run is deterministic: a second run at the same seed
 //      produces identical counters and percentiles.
 // Emits the machine-readable summary to BENCH_fault.json (or argv[1]).
-// --smoke shrinks the run for CI.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "claims.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "hw/cpu_model.h"
@@ -126,18 +125,11 @@ bool same(const ModeResult& a, const ModeResult& b) {
 int main(int argc, char** argv) {
   using namespace lp;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_fault.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fault.json";
 
   const auto bundle = core::train_default_predictors();
-  const DurationNs total = smoke ? seconds(40) : seconds(120);
-  const DurationNs warmup = smoke ? seconds(4) : seconds(10);
+  const DurationNs total = seconds(120);
+  const DurationNs warmup = seconds(10);
 
   // One schedule for every mode: crash, then packet loss, then blackout.
   const TimeNs crash_begin = total / 3;
@@ -170,11 +162,11 @@ int main(int argc, char** argv) {
       1e3;
 
   std::printf(
-      "Fault recovery: alexnet x4 clients, 16 Mbps, %s s run.\n"
+      "Fault recovery: alexnet x4 clients, 16 Mbps, %.0f s run.\n"
       "Schedule: server crash [%.0f, %.0f) s, 30%% packet loss "
       "[%.0f, %.0f) s, link blackout [%.0f, %.0f) s. Local latency "
       "%.1f ms.\n\n",
-      smoke ? "40" : "120", to_seconds(crash_begin), to_seconds(crash_end),
+      to_seconds(total), to_seconds(crash_begin), to_seconds(crash_end),
       to_seconds(loss_begin), to_seconds(loss_end), to_seconds(dark_begin),
       to_seconds(dark_end), local_ms);
 
@@ -210,11 +202,7 @@ int main(int argc, char** argv) {
           (fallback.rpc_timeout_sec + fallback.backoff.max_sec) * 1e3 +
       3.0 * local_ms;
 
-  struct Claim {
-    const char* text;
-    bool ok;
-  };
-  const Claim claims[] = {
+  const benchutil::Claim claims[] = {
       {"every mode saw the crash (crashes >= 1, refused > 0)",
        fs.crashes >= 1 && rt.crashes >= 1 && fb.crashes >= 1 &&
            fb.refused > 0},
@@ -234,12 +222,7 @@ int main(int argc, char** argv) {
        same(fb, again)},
   };
 
-  bool ok = true;
-  std::printf("\n");
-  for (const Claim& c : claims) {
-    std::printf("%s %s\n", c.ok ? "PASS" : "FAIL", c.text);
-    ok = ok && c.ok;
-  }
+  const bool ok = benchutil::print_claims(claims);
 
   obs::Report report("fault_recovery");
   report.set("local_ms", local_ms);
@@ -257,14 +240,12 @@ int main(int argc, char** argv) {
          static_cast<std::size_t>(m.refused), m.mean_ms, m.p99_ms,
          m.crash_requests, m.crash_failed, m.crash_median_ms, m.crash_p99_ms});
   auto& claim_section = report.section("claims", {"claim", "ok"});
-  for (const Claim& c : claims) claim_section.add_row({c.text, c.ok});
+  for (const benchutil::Claim& c : claims)
+    claim_section.add_row({c.text, c.ok});
   report.write_json(out_path);
   report.maybe_write_csv_env();
 
-  if (!ok) {
-    std::printf("\nclaim check FAILED\n");
-    return 1;
-  }
+  if (!ok) return 1;
   std::printf("\nall claims hold; wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "claims.h"
 #include "common/table.h"
 #include "obs/report.h"
 #include "serve/fleet.h"
@@ -180,18 +181,9 @@ void determinism_check(const core::PredictorBundle& bundle,
   config.warmup = seconds(5);
   const auto a = serve::run_fleet(config, bundle);
   const auto b = serve::run_fleet(config, bundle);
-  bool identical = a.clients.size() == b.clients.size();
-  std::size_t records = 0;
-  for (std::size_t i = 0; identical && i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    identical = ra.size() == rb.size();
-    records += ra.size();
-    for (std::size_t j = 0; identical && j < ra.size(); ++j)
-      identical = ra[j].start == rb[j].start && ra[j].p == rb[j].p &&
-                  ra[j].total_sec == rb[j].total_sec &&
-                  ra[j].outcome == rb[j].outcome;
-  }
+  const auto same = benchutil::identical_records(a, b);
+  const bool identical = same.has_value();
+  const std::size_t records = same.value_or(0);
   std::printf("Determinism: two runs with seed %llu -> %zu records, %s\n",
               static_cast<unsigned long long>(config.seed), records,
               identical ? "bit-identical" : "DIVERGED");

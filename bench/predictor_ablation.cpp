@@ -13,16 +13,17 @@
 //
 // Each arm reports its latency profile plus the predictor's self-scored
 // forecast MAE/bias. A determinism section re-runs the reactive arm twice
-// (same seed) to show the record streams stay bit-identical. --smoke
-// shrinks the runs for CI; the JSON (BENCH_predictor.json) carries the
-// headline claim: at least one forecaster beats reactive k on bursty p90
-// latency AND SLO-miss rate.
+// (same seed) to show the record streams stay bit-identical. The JSON
+// (BENCH_predictor.json) carries the headline claim: at least one
+// forecaster beats reactive k on bursty p90 latency AND SLO-miss rate.
+// Claims (exit 1 on violation): that win, a scored forecast on every
+// bursty arm, and the bit-identical re-run.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "claims.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/system.h"
@@ -52,12 +53,12 @@ struct Fig9Stats {
 };
 
 Fig9Stats run_fig9_arm(const core::PredictorBundle& bundle,
-                       const std::string& kind, bool smoke) {
+                       const std::string& kind) {
   static const graph::Graph model = models::make_model("squeezenet");
   core::ExperimentConfig config;
   config.policy = core::Policy::kLoadPart;
   config.load_schedule = benchutil::fig9_schedule();
-  config.duration = smoke ? seconds(90) : benchutil::kFig9Duration;
+  config.duration = benchutil::kFig9Duration;
   config.warmup = seconds(1);
   config.seed = 31;
   config.runtime.predictor.kind = kind;
@@ -89,10 +90,10 @@ struct BurstyStats {
 /// probabilities, so the offered load swings on a multi-second timescale —
 /// faster than the 2 s k-refresh the clients run, which is exactly the
 /// regime where a forecast differs from the last published value.
-serve::FleetConfig bursty_config(const std::string& kind, bool smoke) {
+serve::FleetConfig bursty_config(const std::string& kind) {
   serve::FleetConfig config;
-  config.duration = smoke ? seconds(24) : seconds(90);
-  config.warmup = smoke ? seconds(6) : seconds(15);
+  config.duration = seconds(90);
+  config.warmup = seconds(15);
   config.seed = 11;
   config.profiler_period = seconds(2);
   config.frontend.policy = serve::QueuePolicy::kEdf;
@@ -132,33 +133,10 @@ BurstyStats bursty_stats(const serve::FleetResult& result) {
   return out;
 }
 
-bool identical_records(const serve::FleetResult& a,
-                       const serve::FleetResult& b) {
-  if (a.clients.size() != b.clients.size()) return false;
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    if (ra.size() != rb.size()) return false;
-    for (std::size_t j = 0; j < ra.size(); ++j)
-      if (ra[j].start != rb[j].start || ra[j].p != rb[j].p ||
-          ra[j].total_sec != rb[j].total_sec ||
-          ra[j].outcome != rb[j].outcome)
-        return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_predictor.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_predictor.json";
 
   const auto bundle = core::train_default_predictors();
   const auto kinds = predict::registered_predictors();
@@ -167,15 +145,14 @@ int main(int argc, char** argv) {
   // --- Scenario A: the paper's load ramp, one client. -----------------
   std::printf(
       "Predictor ablation A: SqueezeNet under the Figure 9 load ramp "
-      "(%s)\n\n",
-      smoke ? "smoke: 90 s" : "280 s");
+      "(280 s)\n\n");
   auto& fig9_section = report.section(
       "fig9", {"predictor", "mean_ms", "p90_ms", "max_ms", "forecast_mae",
                "forecast_bias", "forecasts_scored"});
   Table fig9_table({"predictor", "mean(ms)", "p90(ms)", "max(ms)", "MAE",
                     "bias", "scored"});
   for (const auto& kind : kinds) {
-    const Fig9Stats s = run_fig9_arm(bundle, kind, smoke);
+    const Fig9Stats s = run_fig9_arm(bundle, kind);
     fig9_table.add_row({arm_label(kind), Table::num(s.mean_ms),
                         Table::num(s.p90_ms), Table::num(s.max_ms),
                         Table::num(s.mae, 3), Table::num(s.bias, 3),
@@ -199,8 +176,9 @@ int main(int argc, char** argv) {
                       "MAE", "bias", "scored"});
   BurstyStats reactive;
   std::vector<std::pair<std::string, BurstyStats>> forecasters;
+  bool every_arm_scored = true;
   for (const auto& kind : kinds) {
-    const auto result = serve::run_fleet(bursty_config(kind, smoke), bundle);
+    const auto result = serve::run_fleet(bursty_config(kind), bundle);
     const BurstyStats s = bursty_stats(result);
     bursty_table.add_row(
         {arm_label(kind), Table::num(s.p50_ms), Table::num(s.p90_ms),
@@ -210,6 +188,7 @@ int main(int argc, char** argv) {
     bursty_section.add_row({arm_label(kind), s.p50_ms, s.p90_ms,
                             s.slo_miss_rate, s.shed_rate, s.mae, s.bias,
                             s.scored});
+    every_arm_scored = every_arm_scored && s.scored > 0;
     if (kind == "last-value")
       reactive = s;
     else
@@ -240,11 +219,13 @@ int main(int argc, char** argv) {
       best_predictor.c_str());
 
   // --- Determinism: the default arm re-run bit-identically. -----------
-  const auto det_a =
-      serve::run_fleet(bursty_config("last-value", true), bundle);
-  const auto det_b =
-      serve::run_fleet(bursty_config("last-value", true), bundle);
-  const bool deterministic = identical_records(det_a, det_b);
+  serve::FleetConfig det_config = bursty_config("last-value");
+  det_config.duration = seconds(24);
+  det_config.warmup = seconds(6);
+  const auto det_a = serve::run_fleet(det_config, bundle);
+  const auto det_b = serve::run_fleet(det_config, bundle);
+  const bool deterministic =
+      benchutil::identical_records(det_a, det_b).has_value();
   std::printf("Determinism: reactive arm re-run with seed 11 -> %s\n",
               deterministic ? "bit-identical" : "DIVERGED");
 
@@ -259,5 +240,14 @@ int main(int argc, char** argv) {
   report.set("deterministic", deterministic);
   report.write_json(out_path);
   report.maybe_write_csv_env();
-  return 0;
+
+  const benchutil::Claim claims[] = {
+      {"predictors == 5", kinds.size() == 5},
+      {"bursty_p90_wins >= 1", p90_wins >= 1},
+      {"bursty_slo_wins >= 1", slo_wins >= 1},
+      {"forecast_beats_reactive", both_wins > 0},
+      {"deterministic", deterministic},
+      {"every bursty row: forecasts_scored > 0", every_arm_scored},
+  };
+  return benchutil::print_claims(claims) ? 0 : 1;
 }

@@ -15,14 +15,15 @@
 // SLO, completed requests only). A determinism section re-runs one shedding
 // arm twice with the same seed. The JSON (BENCH_tardiness.json) carries the
 // headline claim: least-slack + shedding beats plain EDF on both miss
-// ratio and tardiness p90 at two or more load levels. --smoke shrinks the
-// runs for CI.
+// ratio and tardiness p90 at two or more load levels. Claims (exit 1 on
+// violation): that win, admission shedding on every shedding arm, and the
+// bit-identical re-run.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "claims.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/system.h"
@@ -49,11 +50,10 @@ std::string arm_label(const Arm& arm) {
   return arm.policy_name + (arm.shedding ? "+shed" : "");
 }
 
-serve::FleetConfig taskset_config(const Arm& arm, const LoadLevel& level,
-                                  bool smoke) {
+serve::FleetConfig taskset_config(const Arm& arm, const LoadLevel& level) {
   serve::FleetConfig config;
-  config.duration = smoke ? seconds(16) : seconds(45);
-  config.warmup = smoke ? seconds(4) : seconds(9);
+  config.duration = seconds(45);
+  config.warmup = seconds(9);
   config.seed = 23;
   config.profiler_period = seconds(2);
   config.frontend.policy = arm.policy;
@@ -151,34 +151,10 @@ ArmStats arm_stats(const serve::FleetResult& result) {
   return out;
 }
 
-bool identical_records(const serve::FleetResult& a,
-                       const serve::FleetResult& b) {
-  if (a.clients.size() != b.clients.size()) return false;
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    const auto& ra = a.clients[i].records;
-    const auto& rb = b.clients[i].records;
-    if (ra.size() != rb.size()) return false;
-    for (std::size_t j = 0; j < ra.size(); ++j)
-      if (ra[j].start != rb[j].start || ra[j].p != rb[j].p ||
-          ra[j].total_sec != rb[j].total_sec ||
-          ra[j].outcome != rb[j].outcome ||
-          ra[j].last_failure != rb[j].last_failure)
-        return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_tardiness.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_tardiness.json";
 
   const std::vector<LoadLevel> levels = {
       {"moderate", 1.6}, {"high", 1.0}, {"overload", 0.6}};
@@ -202,10 +178,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Tardiness bench: periodic AlexNet/SqueezeNet tasksets + "
-      "Markov-modulated LoADPart tenant (%s)\n\n",
-      smoke ? "smoke: 16 s" : "45 s");
+      "Markov-modulated LoADPart tenant (45 s)\n\n");
 
   int levels_won = 0;
+  // Shedding arms, and those of them that shed at admission.
+  std::size_t shed_arms = 0, shed_arms_admission = 0;
   for (const LoadLevel& level : levels) {
     std::printf("Load level '%s' (periodic gaps x%.1f)\n", level.name.c_str(),
                 level.gap_scale);
@@ -214,8 +191,12 @@ int main(int argc, char** argv) {
     ArmStats edf_plain, ls_shed;
     for (const Arm& arm : arms) {
       const auto result =
-          serve::run_fleet(taskset_config(arm, level, smoke), bundle);
+          serve::run_fleet(taskset_config(arm, level), bundle);
       const ArmStats s = arm_stats(result);
+      if (arm.shedding) {
+        ++shed_arms;
+        shed_arms_admission += s.deadline_shed_admission > 0;
+      }
       table.add_row({arm_label(arm), std::to_string(s.requests),
                      Table::num(s.miss_ratio * 100.0, 1) + "%",
                      Table::num(s.tardy_p50_ms), Table::num(s.tardy_p90_ms),
@@ -251,19 +232,31 @@ int main(int argc, char** argv) {
 
   // Determinism: the shedding arm re-run bit-identically with one seed.
   const Arm det_arm{"least-slack", serve::QueuePolicy::kLeastSlack, true};
-  const auto det_a =
-      serve::run_fleet(taskset_config(det_arm, levels.back(), true), bundle);
-  const auto det_b =
-      serve::run_fleet(taskset_config(det_arm, levels.back(), true), bundle);
-  const bool deterministic = identical_records(det_a, det_b);
+  serve::FleetConfig det_config = taskset_config(det_arm, levels.back());
+  det_config.duration = seconds(16);
+  det_config.warmup = seconds(4);
+  const auto det_a = serve::run_fleet(det_config, bundle);
+  const auto det_b = serve::run_fleet(det_config, bundle);
+  const bool deterministic =
+      benchutil::identical_records(det_a, det_b).has_value();
   std::printf("Determinism: least-slack+shed re-run with seed 23 -> %s\n",
               deterministic ? "bit-identical" : "DIVERGED");
 
   report.set("levels", static_cast<std::int64_t>(levels.size()));
   report.set("levels_won", levels_won);
-  report.set("ls_shed_beats_edf_plain", levels_won >= 2);
+  const bool ls_shed_beats_edf_plain = levels_won >= 2;
+  report.set("ls_shed_beats_edf_plain", ls_shed_beats_edf_plain);
   report.set("deterministic", deterministic);
   report.write_json(out_path);
   report.maybe_write_csv_env();
-  return 0;
+
+  const benchutil::Claim claims[] = {
+      {"levels == 3", levels.size() == 3},
+      {"levels_won >= 2", levels_won >= 2},
+      {"ls_shed_beats_edf_plain", ls_shed_beats_edf_plain},
+      {"deterministic", deterministic},
+      {"every shedding arm: deadline_shed_admission > 0",
+       shed_arms > 0 && shed_arms_admission == shed_arms},
+  };
+  return benchutil::print_claims(claims) ? 0 : 1;
 }

@@ -11,7 +11,10 @@
 //   check_fuzz --kind queue --replay 0x1234abcd [--level 2]
 //
 // Exit code 0 = every case passed, 1 = a divergence / invariant violation
-// was found (replay line on stdout), 2 = bad usage.
+// was found (replay line on stdout), 2 = bad usage (including a number that
+// does not parse as a whole token, zero cases, or a level above 3).
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +63,17 @@ bool parse_kind(const char* name, CaseKind* out) {
   std::exit(2);
 }
 
+/// A whole unsigned integer token (decimal, or hex with 0x); anything else
+/// (empty, signed, trailing characters, out of range) is a usage error.
+std::uint64_t parse_u64(const char* text) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (*end != '\0' || errno == ERANGE) usage();
+  return value;
+}
+
 bool parse_args(int argc, char** argv, Options* opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -68,17 +82,20 @@ bool parse_args(int argc, char** argv, Options* opts) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      opts->seed = std::strtoull(value(), nullptr, 0);
+      opts->seed = parse_u64(value());
     } else if (arg == "--cases") {
-      opts->cases = std::strtoull(value(), nullptr, 0);
+      opts->cases = parse_u64(value());
+      if (opts->cases == 0) usage();
     } else if (arg == "--kind") {
       if (!parse_kind(value(), &opts->kind)) usage();
       opts->has_kind = true;
     } else if (arg == "--replay") {
       opts->replay = true;
-      opts->replay_seed = std::strtoull(value(), nullptr, 0);
+      opts->replay_seed = parse_u64(value());
     } else if (arg == "--level") {
-      opts->level = std::atoi(value());
+      const std::uint64_t level = parse_u64(value());
+      if (level > kMaxLevel) usage();
+      opts->level = static_cast<int>(level);
     } else {
       usage();
     }
