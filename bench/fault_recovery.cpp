@@ -21,7 +21,7 @@
 //      bounded: the median rides at the local latency (the breaker) and
 //      p99 is capped by the retry budget, not by the outage length;
 //   4. the whole run is deterministic: a second run at the same seed
-//      produces identical counters and percentiles.
+//      produces identical counters, percentiles and record streams.
 // Emits the machine-readable summary to BENCH_fault.json (or argv[1]).
 #include <cstdio>
 #include <string>
@@ -55,6 +55,7 @@ struct ModeResult {
   std::size_t crash_failed = 0;
   double crash_median_ms = 0.0;
   double crash_p99_ms = 0.0;
+  serve::FleetResult run;  // the raw run, for the record-level rerun check
 };
 
 ModeResult run_mode(const std::string& name,
@@ -78,10 +79,10 @@ ModeResult run_mode(const std::string& name,
   spec.request_gap = milliseconds(15);
   config.tenants.push_back(spec);
 
-  const auto result = serve::run_fleet(config, bundle);
-  const auto summary = result.summarize();
-
   ModeResult m;
+  m.run = serve::run_fleet(config, bundle);
+  const serve::FleetResult& result = m.run;
+  const auto summary = result.summarize();
   m.name = name;
   m.requests = summary.requests();
   m.admitted = summary.admitted();
@@ -113,11 +114,13 @@ ModeResult run_mode(const std::string& name,
   return m;
 }
 
+/// Same aggregates and the same record stream, client by client.
 bool same(const ModeResult& a, const ModeResult& b) {
   return a.requests == b.requests && a.failed == b.failed &&
          a.recovered == b.recovered && a.retries == b.retries &&
          a.mean_ms == b.mean_ms && a.p99_ms == b.p99_ms &&
-         a.crash_p99_ms == b.crash_p99_ms;
+         a.crash_p99_ms == b.crash_p99_ms &&
+         benchutil::identical_records(a.run, b.run).has_value();
 }
 
 }  // namespace
@@ -201,6 +204,7 @@ int main(int argc, char** argv) {
       (fallback.max_retries + 1) *
           (fallback.rpc_timeout_sec + fallback.backoff.max_sec) * 1e3 +
       3.0 * local_ms;
+  const bool deterministic = same(fb, again);
 
   const benchutil::Claim claims[] = {
       {"every mode saw the crash (crashes >= 1, refused > 0)",
@@ -218,15 +222,14 @@ int main(int argc, char** argv) {
       {"crash-window p99 is bounded by the retry budget, not the outage",
        fb.crash_p99_ms > 0.0 && fb.crash_p99_ms < budget_ms &&
            fb.crash_p99_ms < 0.5 * to_seconds(crash_end - crash_begin) * 1e3},
-      {"deterministic: identical rerun at the same seed",
-       same(fb, again)},
+      {"deterministic: identical rerun at the same seed", deterministic},
   };
 
   const bool ok = benchutil::print_claims(claims);
 
   obs::Report report("fault_recovery");
   report.set("local_ms", local_ms);
-  report.set("deterministic", same(modes[2], again));
+  report.set("deterministic", deterministic);
   report.set("claims_ok", ok);
   auto& mode_section = report.section(
       "modes", {"name", "requests", "lost", "recovered", "retries",

@@ -228,8 +228,11 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   const auto& g = *graph_;
   const bool optimized = options_.mode == ExecMode::kOptimized;
 
-  // Values indexed by node id; MakeTuple holds no tensor of its own.
+  // Values indexed by node id; MakeTuple holds no tensor of its own. A
+  // bound tensor (input or parameter) is borrowed, not copied: `borrowed`
+  // points into `bindings` and `values` stays empty for that node.
   std::vector<Tensor> values(g.node_count());
+  std::vector<const Tensor*> borrowed(g.node_count(), nullptr);
 
   // Liveness: remaining reads per node. Each consumer's retirement is one
   // read; collecting a graph output at the end is one more.
@@ -252,29 +255,44 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
   auto at = [&](graph::NodeId id) -> Tensor& {
     return values[static_cast<std::size_t>(id)];
   };
+  auto borrowed_at = [&](graph::NodeId id) -> const Tensor*& {
+    return borrowed[static_cast<std::size_t>(id)];
+  };
+  auto get = [&](graph::NodeId id) -> const Tensor& {
+    const Tensor* b = borrowed_at(id);
+    return b != nullptr ? *b : at(id);
+  };
 
+  // Borrowed bytes count as resident: the caller's buffer is live memory
+  // of this run just as an owned one would be.
   auto track = [&](const Tensor& t) {
     cur += t.bytes();
     peak = std::max(peak, cur);
   };
 
-  // Returns node id's tensor, materializing Parameters on first use (from
-  // `bindings` when bound, deterministically from the name otherwise).
+  auto borrow = [&](graph::NodeId id, const Tensor& t) {
+    borrowed_at(id) = &t;
+    track(t);
+  };
+
+  // Returns node id's tensor, materializing Parameters on first use
+  // (borrowed from `bindings` when bound, deterministically from the name
+  // otherwise).
   auto ensure = [&](graph::NodeId id) -> const Tensor& {
-    Tensor& v = at(id);
-    if (!v.empty()) return v;
+    if (borrowed_at(id) != nullptr || !at(id).empty()) return get(id);
     const Node& node = g.node(id);
     LP_CHECK_MSG(node.is_param(),
                  "use of an unmaterialized tensor: " + node.name);
     auto it = bindings.find(node.name);
-    Tensor t = it != bindings.end()
-                   ? it->second
-                   : deterministic_param(node.name, node.output.shape);
-    LP_CHECK_MSG(t.shape() == node.output.shape,
-                 "bound tensor shape mismatch for " + node.name);
-    v = std::move(t);
-    track(v);
-    return v;
+    if (it != bindings.end()) {
+      LP_CHECK_MSG(it->second.shape() == node.output.shape,
+                   "bound tensor shape mismatch for " + node.name);
+      borrow(id, it->second);
+    } else {
+      at(id) = deterministic_param(node.name, node.output.shape);
+      track(at(id));
+    }
+    return get(id);
   };
 
   // Retires one read of `id`; releases the buffer after the last one.
@@ -282,18 +300,21 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
     auto& u = uses[static_cast<std::size_t>(id)];
     LP_CHECK(u > 0);
     if (--u == 0) {
-      Tensor& v = at(id);
-      cur -= v.bytes();
-      released += v.bytes();
-      v = Tensor();
+      const std::int64_t bytes = get(id).bytes();
+      cur -= bytes;
+      released += bytes;
+      borrowed_at(id) = nullptr;
+      at(id) = Tensor();
     }
   };
 
-  // Moves the tensor out when this is its final read (in-place ops reuse
-  // the buffer); copies otherwise.
+  // Moves an owned tensor out when this is its final read (in-place ops
+  // reuse the buffer); copies otherwise. A borrowed tensor is always
+  // copied: the caller's binding is never written.
   auto take_or_copy = [&](graph::NodeId id) -> Tensor {
     const Tensor& v = ensure(id);
-    if (uses[static_cast<std::size_t>(id)] == 1) {
+    if (borrowed_at(id) == nullptr &&
+        uses[static_cast<std::size_t>(id)] == 1) {
       ++moved;
       cur -= v.bytes();
       return std::move(at(id));
@@ -312,7 +333,7 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
                  "missing input binding: " + node.name);
     LP_CHECK_MSG(it->second.shape() == node.output.shape,
                  "input shape mismatch");
-    store(node.id, it->second);
+    borrow(node.id, it->second);
   };
 
   // One fused-epilogue step from a BiasAdd/BatchNorm/activation node.
@@ -558,17 +579,18 @@ std::vector<Tensor> Interpreter::run(const TensorMap& bindings,
     stats->fused_groups = fused;
   }
 
-  // Collect outputs, moving each tensor out at its last occurrence.
+  // Collect outputs, moving each owned tensor out at its last occurrence;
+  // a borrowed one (a bound tensor passed straight through) is copied.
   std::vector<Tensor> results;
   results.reserve(out_ids.size());
   for (std::size_t i = 0; i < out_ids.size(); ++i) {
-    bool last = true;
+    bool move_out = borrowed_at(out_ids[i]) == nullptr;
     for (std::size_t j = i + 1; j < out_ids.size(); ++j)
-      if (out_ids[j] == out_ids[i]) last = false;
-    if (last)
+      if (out_ids[j] == out_ids[i]) move_out = false;
+    if (move_out)
       results.push_back(std::move(at(out_ids[i])));
     else
-      results.push_back(at(out_ids[i]));
+      results.push_back(get(out_ids[i]));
   }
   return results;
 }

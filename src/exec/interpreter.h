@@ -14,7 +14,8 @@
 //     exec/kernels.h).
 // The driver runs a liveness pass either way: each tensor is released once
 // its last consumer retires, and (in optimized mode) tensors move rather
-// than copy through elementwise/Flatten ops.
+// than copy through elementwise/Flatten ops. Bound tensors are borrowed
+// from the caller's map, so weights are never copied per run.
 #pragma once
 
 #include <memory>
@@ -76,7 +77,9 @@ class Interpreter {
   /// Runs the graph. `bindings` provides the Input node's tensor (by node
   /// name) and overrides for any Parameter (by parameter name) — this is how
   /// partition-boundary tensors enter a server segment. Unbound Parameters
-  /// take deterministic_param(name) values.
+  /// take deterministic_param(name) values. Bound tensors are borrowed for
+  /// the call — read in place, never copied or written — and count as
+  /// resident in RunStats.
   ///
   /// Returns one tensor per graph output: the output node's tensor, or, when
   /// the output is a Return over a MakeTuple, each tuple element in order.

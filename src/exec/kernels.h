@@ -1,6 +1,6 @@
-// Optimized execution kernels: im2col + register-tiled GEMM convolution,
-// blocked matmul, parallel pooling/elementwise, and a fused elementwise
-// epilogue driven by graph::fusion groups.
+// Optimized execution kernels: im2col + packed-panel lane GEMM convolution,
+// lane-blocked matmul, parallel pooling/elementwise, and a fused
+// elementwise epilogue driven by graph::fusion groups.
 //
 // Determinism contract: every kernel reproduces the reference interpreter's
 // per-output-element operation order exactly — double-precision
@@ -78,16 +78,29 @@ struct Epilogue {
   }
 };
 
-/// Convolution (im2col + cache-blocked GEMM; direct loops for depthwise)
-/// with the epilogue fused into the output store.
+/// Instruction-set build of the conv/FC lane kernels. Both builds compile
+/// from one source and give bit-identical results; kAvx2 only runs more
+/// lanes per instruction.
+enum class Simd { kBaseline, kAvx2 };
+
+/// The widest build this CPU runs (detected once, on first call).
+Simd host_simd();
+
+/// True if this CPU can run `simd`'s build.
+bool simd_supported(Simd simd);
+
+/// Convolution (im2col + packed-panel lane GEMM; direct loops for
+/// depthwise) with the epilogue fused into the output store. `simd` must
+/// be supported by the host.
 Tensor conv2d_fast(const Tensor& x, const Tensor& w, const graph::ConvAttrs& a,
                    const Shape& out_shape, bool depthwise, const Epilogue& ep,
-                   ThreadPool& pool);
+                   ThreadPool& pool, Simd simd = host_simd());
 
-/// Fully-connected matmul, register-blocked over output columns, epilogue
-/// fused into the store.
+/// Fully-connected matmul, lane-blocked over output columns, epilogue fused
+/// into the store. `simd` must be supported by the host.
 Tensor matmul_fast(const Tensor& x, const Tensor& w, const Shape& out_shape,
-                   const Epilogue& ep, ThreadPool& pool);
+                   const Epilogue& ep, ThreadPool& pool,
+                   Simd simd = host_simd());
 
 /// Max/avg pooling, parallel over (n, c) planes.
 Tensor pool2d_fast(const Tensor& x, const graph::PoolAttrs& a,

@@ -2,17 +2,23 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
 #include "exec/interpreter.h"
+#include "exec/kernels.h"
 #include "exec/thread_pool.h"
 #include "graph/graph.h"
+#include "partition/partitioner.h"
 
 namespace lp::exec {
 namespace {
 
 using graph::GraphBuilder;
+using graph::Node;
 
 TEST(Tensor, AccessorsAndDiff) {
   Tensor a(Shape{1, 2, 2, 2});
@@ -313,6 +319,213 @@ TEST(Interpreter, RunStatsReportLivenessSavings) {
   for (const auto& node : g.nodes())
     all_bytes += node.output.shape.elements() * 4;
   EXPECT_LT(stats.peak_resident_bytes, all_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel differential tests: each SIMD build of conv2d_fast / matmul_fast,
+// called directly, against the reference interpreter on shapes that hit
+// every tile edge — partial oc and pixel tiles, single-pixel maps, strides,
+// padding, odd FC widths, batch 2 — with and without fused epilogues.
+// ---------------------------------------------------------------------------
+
+const Node& only_node(const graph::Graph& g, graph::OpType op) {
+  const Node* found = nullptr;
+  for (const auto& node : g.nodes())
+    if (node.op == op) {
+      EXPECT_EQ(found, nullptr) << "more than one " << graph::op_name(op);
+      found = &node;
+    }
+  LP_CHECK(found != nullptr);
+  return *found;
+}
+
+Tensor param(const std::string& name, const Shape& shape) {
+  return deterministic_param(name, shape);
+}
+
+/// The fused epilogue the optimized engine builds for BiasAdd "c" (of
+/// `channels`), then BatchNorm "bn" and ReLU when `with_bn`.
+struct TestEpilogue {
+  Tensor bias, gamma, beta, mean, var;
+  Epilogue ep;
+
+  TestEpilogue(const std::string& layer, std::int64_t channels, bool with_bn)
+      : bias(param(layer + ".bias", Shape{channels})),
+        gamma(param("bn.gamma", Shape{channels})),
+        beta(param("bn.beta", Shape{channels})),
+        mean(param("bn.mean", Shape{channels})),
+        var(param("bn.var", Shape{channels})) {
+    EpilogueStep b;
+    b.op = graph::OpType::kBiasAdd;
+    b.bias = bias.data();
+    ep.steps.push_back(b);
+    if (with_bn) {
+      EpilogueStep bn;
+      bn.op = graph::OpType::kBatchNorm;
+      bn.gamma = gamma.data();
+      bn.beta = beta.data();
+      bn.mean = mean.data();
+      for (std::int64_t c = 0; c < channels; ++c)
+        bn.denom.push_back(std::sqrt(std::max(var.at(c), 0.0f) + 1e-5f));
+      ep.steps.push_back(bn);
+    }
+    EpilogueStep relu;
+    relu.op = graph::OpType::kRelu;
+    ep.steps.push_back(relu);
+  }
+};
+
+struct ConvCase {
+  const char* what;
+  Shape in;
+  std::int64_t oc, kh, kw, stride, pad_h, pad_w;
+  bool fused;
+};
+
+const ConvCase kConvCases[] = {
+    {"oc5 9x9 (81 px)", {1, 3, 9, 9}, 5, 3, 3, 1, 1, 1, true},
+    {"stride2 7x7 out batch2", {2, 6, 14, 14}, 7, 3, 3, 2, 1, 1, false},
+    {"1x1 kernel 7x7 out", {1, 8, 7, 7}, 6, 1, 1, 1, 0, 0, true},
+    {"7x7 kernel 1x1 out", {1, 4, 7, 7}, 9, 7, 7, 1, 0, 0, false},
+    {"7x7 stride2 pad3 stem", {1, 3, 15, 15}, 10, 7, 7, 2, 3, 3, true},
+    {"oc33 14x14 batch2", {2, 16, 14, 14}, 33, 3, 3, 1, 1, 1, true},
+    {"1x7 rect pad", {1, 5, 6, 11}, 3, 1, 7, 1, 0, 3, false},
+    {"1x1 out from 1x1", {1, 64, 1, 1}, 13, 1, 1, 1, 0, 0, true},
+};
+
+struct FcCase {
+  const char* what;
+  std::int64_t rows, inner, cols;
+  bool fused;
+};
+
+const FcCase kFcCases[] = {
+    {"1000 wide", 1, 37, 1000, true},
+    {"4097 wide", 1, 29, 4097, false},
+    {"batch2 40 wide", 2, 33, 40, true},
+    {"narrower than a block", 1, 64, 7, true},
+};
+
+class KernelDiff : public ::testing::TestWithParam<Simd> {
+ protected:
+  void SetUp() override {
+    if (!simd_supported(GetParam()))
+      GTEST_SKIP() << "this CPU cannot run the AVX2 build";
+  }
+};
+
+TEST_P(KernelDiff, ConvMatchesReference) {
+  for (const auto& c : kConvCases) {
+    SCOPED_TRACE(c.what);
+    GraphBuilder b("conv-diff");
+    auto x = b.input(c.in);
+    auto y = b.conv2d_rect(x, c.oc, c.kh, c.kw, c.stride, c.pad_h, c.pad_w,
+                           /*with_bias=*/c.fused, "c");
+    if (c.fused) y = b.relu(b.batchnorm(y, "bn"));
+    const graph::Graph g = b.build(y);
+    const auto input = random_tensor(c.in, 5);
+    const auto ref =
+        Interpreter(g, {ExecMode::kReference, 1}).run({{"input", input}});
+
+    const Node& conv = only_node(g, graph::OpType::kConv);
+    const auto& attrs = std::get<graph::ConvAttrs>(conv.attrs);
+    const Tensor w = param("c.weight", g.node(conv.inputs[1]).output.shape);
+    const TestEpilogue fused("c", c.oc, /*with_bn=*/true);
+    const Epilogue none;
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      const Tensor out =
+          conv2d_fast(input, w, attrs, conv.output.shape, /*depthwise=*/false,
+                      c.fused ? fused.ep : none, pool, GetParam());
+      EXPECT_EQ(Tensor::max_abs_diff(out, ref[0]), 0.0);
+    }
+  }
+}
+
+TEST_P(KernelDiff, MatmulMatchesReference) {
+  for (const auto& c : kFcCases) {
+    SCOPED_TRACE(c.what);
+    GraphBuilder b("fc-diff");
+    auto x = b.input({c.rows, c.inner});
+    auto y = b.fc(x, c.cols, /*with_bias=*/c.fused, "fc");
+    if (c.fused) y = b.relu(y);
+    const graph::Graph g = b.build(y);
+    const auto input = random_tensor(Shape{c.rows, c.inner}, 9);
+    const auto ref =
+        Interpreter(g, {ExecMode::kReference, 1}).run({{"input", input}});
+
+    const Tensor w = param("fc.weight", Shape{c.inner, c.cols});
+    const TestEpilogue fused("fc", c.cols, /*with_bn=*/false);
+    const Epilogue none;
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      const Tensor out = matmul_fast(input, w, Shape{c.rows, c.cols},
+                                     c.fused ? fused.ep : none, pool,
+                                     GetParam());
+      EXPECT_EQ(Tensor::max_abs_diff(out, ref[0]), 0.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, KernelDiff,
+                         ::testing::Values(Simd::kBaseline, Simd::kAvx2),
+                         [](const ::testing::TestParamInfo<Simd>& info) {
+                           return std::string(info.param == Simd::kAvx2
+                                                  ? "avx2"
+                                                  : "baseline");
+                         });
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.bytes())) == 0;
+}
+
+TEST(Interpreter, BoundTensorsAreBorrowedNeverWritten) {
+  // A residual block: at some cuts the server half starts with an
+  // in-place op on a boundary tensor (the Add, or a ReLU), and the device
+  // half's first op is an in-place ReLU on the bound input. The caller's
+  // bindings must come back unchanged, and the halves must still
+  // reproduce the whole graph.
+  GraphBuilder b("borrow");
+  auto x = b.input({1, 4, 6, 6});
+  auto r0 = b.relu(x, "r0");
+  auto c1 = b.relu(b.conv2d(r0, 4, 3, 1, 1, false, "c1"), "r1");
+  auto c2 = b.conv2d(c1, 4, 3, 1, 1, false, "c2");
+  const graph::Graph g = b.build(b.relu(b.add(c2, c1, "sum"), "out"));
+  const auto input = random_tensor(Shape{1, 4, 6, 6}, 13);
+  const auto whole = Interpreter(g).run({{"input", input}});
+
+  for (std::size_t p = 0; p <= g.n(); ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const auto plan = partition::partition_at(g, p);
+    TensorMap bound = {{"input", input}};
+    if (plan.device_part) {
+      const Interpreter device(*plan.device_part);
+      auto produced = device.run(bound);
+      EXPECT_TRUE(bit_equal(bound.at("input"), input));
+      if (!plan.server_part) {
+        EXPECT_TRUE(bit_equal(produced[0], whole[0]));
+        continue;
+      }
+      bound.clear();
+      const auto names = device.output_names();
+      for (std::size_t i = 0; i < names.size(); ++i)
+        bound.emplace(names[i], std::move(produced[i]));
+    }
+    const TensorMap before = bound;
+    RunStats stats;
+    const auto out = Interpreter(*plan.server_part).run(bound, &stats);
+    EXPECT_TRUE(bit_equal(out[0], whole[0]));
+    for (const auto& [name, t] : before)
+      EXPECT_TRUE(bit_equal(bound.at(name), t)) << name;
+    // Borrowed boundary tensors still count as resident.
+    std::int64_t bound_bytes = 0;
+    for (const auto& [name, t] : before) bound_bytes += t.bytes();
+    EXPECT_GE(stats.peak_resident_bytes, bound_bytes);
+  }
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
